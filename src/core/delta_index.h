@@ -93,9 +93,8 @@ class DeltaIndex {
   /// Overlays this delta onto one stored id-ordered list: the base entries
   /// plus the delta-only extras for `term`. `base` may be null (term has
   /// no stored list); the result is never null, and is `base` itself when
-  /// the overlay adds nothing. Shared by MiningEngine's and
-  /// PhraseService's SMJ bundle assembly so the exactness-critical merge
-  /// has exactly one implementation.
+  /// the overlay adds nothing. MiningEngine's SMJ bundle assembly uses it
+  /// so the exactness-critical merge has exactly one implementation.
   SharedWordList OverlayIdOrdered(TermId term, SharedWordList base) const;
 
   /// Number of Add/Remove calls absorbed since construction; drives the

@@ -63,6 +63,16 @@ PhraseDictionary CloneSetWithCorpusDfs(const PhraseDictionary& set,
   return dict;
 }
 
+/// sum_p df(p) / |D|: each phrase contributes one entry to the forward
+/// list of every document it occurs in.
+double AvgDocPhrases(const PhraseDictionary& dict, const Corpus& corpus) {
+  uint64_t total_df = 0;
+  for (PhraseId p = 0; p < dict.size(); ++p) total_df += dict.df(p);
+  return corpus.size() == 0 ? 0.0
+                            : static_cast<double>(total_df) /
+                                  static_cast<double>(corpus.size());
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
@@ -133,6 +143,7 @@ MiningEngine MiningEngine::Build(Corpus corpus, Options options) {
       engine.corpus_, engine.dict_, ForwardStorage::kPrefixCompressed);
   engine.phrase_file_ =
       PhraseListFile::Build(engine.dict_, engine.corpus_.vocab());
+  engine.avg_doc_phrases_ = AvgDocPhrases(engine.dict_, engine.corpus_);
   engine.word_lists_ = std::make_unique<WordScoreLists>();
   engine.smj_fraction_ = options.default_smj_fraction;
   if (!options.persist_path.empty()) {
@@ -251,6 +262,7 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
       file->section_offset(IndexSection::kPhraseListFile) +
       PhraseListFile::kSerializedSlotsOffset;
   engine.index_file_ = std::move(file);
+  engine.avg_doc_phrases_ = AvgDocPhrases(engine.dict_, engine.corpus_);
   engine.smj_fraction_ = options.default_smj_fraction;
   return engine;
 }
@@ -298,7 +310,10 @@ void MiningEngine::EnsureWordLists(std::span<const TermId> terms) {
         if (!word_lists_->Has(t)) missing.push_back(t);
       }
     }
-    if (missing.empty()) return;
+    if (missing.empty()) {
+      sync_->list_hits.fetch_add(terms.size(), std::memory_order_relaxed);
+      return;
+    }
     // Build under the shared lock so concurrent mines keep running but a
     // rebuild cannot swap the source indexes away mid-build; two threads
     // racing on the same term both build it, and Merge keeps the first
@@ -315,9 +330,25 @@ void MiningEngine::EnsureWordLists(std::span<const TermId> terms) {
       const std::size_t before = word_lists_->num_terms();
       word_lists_->Merge(std::move(built));
       if (word_lists_->num_terms() != before) InvalidateDerivedLists();
+      sync_->list_hits.fetch_add(terms.size() - missing.size(),
+                                 std::memory_order_relaxed);
+      sync_->list_misses.fetch_add(missing.size(), std::memory_order_relaxed);
       return;
     }
   }
+}
+
+WordListStats MiningEngine::word_list_stats() const {
+  WordListStats stats;
+  stats.hits = sync_->list_hits.load(std::memory_order_relaxed);
+  stats.misses = sync_->list_misses.load(std::memory_order_relaxed);
+  std::shared_lock lock(sync_->lists_mu);
+  stats.entries = word_lists_->num_terms();
+  stats.bytes = word_lists_->InMemoryBytes();
+  if (id_lists_ != nullptr) {
+    stats.bytes += id_lists_->TotalEntries() * kListEntryInMemoryBytes;
+  }
+  return stats;
 }
 
 void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
@@ -329,24 +360,53 @@ void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
 }
 
 void MiningEngine::EnsureIdOrderedLists(std::span<const TermId> terms) {
-  EnsureWordLists(terms);
-  {
-    // Fast path: after the first build the cache usually exists, and the
-    // sharded scatter/fill rounds call this per shard per query -- an
-    // unconditional exclusive lock here would serialize them against
-    // every concurrent mine holding the shared lock.
-    std::shared_lock lock(sync_->lists_mu);
-    if (id_lists_ != nullptr) return;
-  }
-  std::unique_lock lock(sync_->lists_mu);
-  if (id_lists_ == nullptr) {
-    id_lists_ = std::make_unique<WordIdOrderedLists>(
-        WordIdOrderedLists::Build(*word_lists_, smj_fraction_));
+  // Per term, like the score lists: only the terms SMJ actually mines pay
+  // for an id-ordered copy and its SoA view. Retried when a rebuild or a
+  // fraction change lands between the build and the insert.
+  for (;;) {
+    EnsureWordLists(terms);
+    uint64_t generation;
+    double fraction;
+    std::vector<std::pair<TermId, SharedWordList>> built;
+    {
+      // The common case -- every term already present -- stays on the
+      // shared lock: the sharded scatter/fill rounds call this per shard
+      // per query, and an exclusive lock would serialize them against
+      // every concurrent mine.
+      std::shared_lock lock(sync_->lists_mu);
+      generation = generation_;
+      fraction = smj_fraction_;
+      for (TermId t : terms) {
+        if (id_lists_ != nullptr && id_lists_->Has(t)) continue;
+        if (!word_lists_->Has(t)) continue;  // a rebuild raced: caller rechecks
+        built.emplace_back(t, WordIdOrderedLists::IdOrderPrefix(
+                                  word_lists_->Partial(t, fraction)));
+      }
+    }
+    if (built.empty()) return;
+    std::vector<SharedSoAList> views;
+    views.reserve(built.size());
+    for (const auto& [t, list] : built) {
+      views.push_back(std::make_shared<const SoABlockList>(
+          SoABlockList::FromIdOrdered(std::span<const ListEntry>(*list))));
+    }
+    std::unique_lock lock(sync_->lists_mu);
+    if (generation_ != generation || smj_fraction_ != fraction) continue;
+    if (id_lists_ == nullptr) {
+      id_lists_ = std::make_unique<WordIdOrderedLists>(fraction);
+    }
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      id_lists_->Insert(built[i].first, std::move(built[i].second),
+                        std::move(views[i]));
+    }
+    return;
   }
 }
 
 void MiningEngine::InvalidateDerivedLists() {
-  id_lists_.reset();
+  // Id-ordered lists are per term and a term's score list never changes
+  // within a generation, so a merge of new terms leaves them valid; the
+  // disk tier's placement covers the built-list set and must re-place.
   disk_lists_.reset();
 }
 
@@ -439,16 +499,16 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         lock.unlock();
         continue;
       }
-      if (algorithm == Algorithm::kSmj && id_lists_ == nullptr) {
-        lock.unlock();
-        {
-          std::unique_lock build_lock(sync_->lists_mu);
-          if (id_lists_ == nullptr) {
-            id_lists_ = std::make_unique<WordIdOrderedLists>(
-                WordIdOrderedLists::Build(*word_lists_, smj_fraction_));
-          }
+      if (algorithm == Algorithm::kSmj) {
+        bool have_ids = id_lists_ != nullptr;
+        for (TermId t : query.terms) {
+          have_ids = have_ids && id_lists_->Has(t);
         }
-        continue;  // Revalidate everything with the shared lock back.
+        if (!have_ids) {
+          lock.unlock();
+          EnsureIdOrderedLists(query.terms);
+          continue;  // Revalidate everything with the shared lock back.
+        }
       }
     }
     break;
@@ -575,8 +635,8 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
   }
   // Stamp the epoch of the overlay actually applied: the engine's own
   // snapshot on the auto path. With a caller-supplied delta the engine
-  // cannot know its epoch -- the label stays 0 and the caller (e.g.
-  // PhraseService) stamps the epoch of the snapshot it passed in.
+  // cannot know its epoch -- the label stays 0 and the caller stamps the
+  // epoch of the snapshot it passed in.
   if (!caller_delta) result.epoch = snap.epoch;
   result.guarantee = GuaranteeFor(algorithm, effective.delta != nullptr,
                                   smj_fraction_ >= 1.0);
@@ -765,6 +825,7 @@ void MiningEngine::Rebuild() {
   forward_full_ = std::move(fresh.forward_full_);
   forward_compressed_ = std::move(fresh.forward_compressed_);
   phrase_file_ = std::move(fresh.phrase_file_);
+  avg_doc_phrases_ = fresh.avg_doc_phrases_;
   word_lists_ = std::move(fresh.word_lists_);
   smj_fraction_ = fraction;
   id_lists_.reset();

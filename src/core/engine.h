@@ -1,6 +1,7 @@
 #ifndef PHRASEMINE_CORE_ENGINE_H_
 #define PHRASEMINE_CORE_ENGINE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -138,6 +139,19 @@ struct UpdateEvent {
 /// Callback type for UpdateEvent delivery; see SetUpdateListener.
 using UpdateListener = std::function<void(const UpdateEvent&)>;
 
+/// Accounting of the engine's lazily built word lists (see
+/// MiningEngine::word_list_stats). Hits and misses are per-term lookups
+/// in EnsureWordLists: a hit found the list built, a miss built it.
+struct WordListStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  /// Terms with a built score-ordered list.
+  std::size_t entries = 0;
+  /// Resident bytes of the score-ordered lists plus the id-ordered
+  /// (SMJ) entry runs built over them.
+  std::size_t bytes = 0;
+};
+
 /// Build-time knobs for MiningEngine.
 struct MiningEngineOptions {
   /// Phrase-extraction knobs (n-gram cap and min document frequency).
@@ -231,13 +245,12 @@ struct MiningEngineOptions {
 ///   * Exception: word_lists() hands out the lazily merged container
 ///     without synchronization. Only read it while no Mine(),
 ///     EnsureWordLists() or Rebuild() call can be in flight (tests,
-///     benchmarks, single-threaded preprocessing). PhraseService never
-///     reads it.
+///     benchmarks, single-threaded preprocessing), or under
+///     WithSharedStructures.
 ///   * Algorithms whose miners keep per-call scratch (kExact, kGm,
 ///     kSimitsis) serialize per algorithm; kNraDisk serializes on the
 ///     shared SimulatedDisk. kNra and kSmj run fully in parallel once
-///     their lists exist -- these are the paper's serving algorithms and
-///     the ones PhraseService routes through its own cache.
+///     their lists exist -- these are the paper's serving algorithms.
 ///   * Structural mutations -- SetSmjFraction, SaveToDirectory,
 ///     LoadFromDirectory, moves -- require external exclusive access: no
 ///     concurrent Mine(), ApplyUpdate() or Rebuild() calls may be in
@@ -395,17 +408,24 @@ class MiningEngine {
 
   // --- Preprocessing control --------------------------------------------------
 
-  /// Ensures word-specific score lists exist for these terms.
+  /// Ensures word-specific score lists exist for these terms. Every term
+  /// looked up counts as a hit (list already built) or a miss (built
+  /// here) in word_list_stats().
   void EnsureWordLists(std::span<const TermId> terms);
+
+  /// Built-list accounting: EnsureWordLists hits/misses since
+  /// construction plus the entries and bytes of the lists built so far.
+  WordListStats word_list_stats() const;
 
   /// Ensures lists exist for every term of every query (harness helper).
   void EnsureWordListsFor(std::span<const Query> queries);
 
   /// Ensures the id-ordered SMJ lists (and their SoA kernel views) exist
   /// for these terms at the current construction fraction -- the same
-  /// structure an SMJ mine builds on first use. ShardedEngine's list
-  /// scatter/fill rounds call this so their kernels run on the cached
-  /// id-ordered lists instead of re-sorting score-ordered ones per query.
+  /// per-term structures an SMJ mine builds on first use (only mined
+  /// terms get one). ShardedEngine's list scatter/fill rounds call this so
+  /// their kernels run on the cached id-ordered lists instead of
+  /// re-sorting score-ordered ones per query.
   void EnsureIdOrderedLists(std::span<const TermId> terms);
 
   /// Rebuilds the SMJ id-ordered lists at this construction fraction
@@ -460,8 +480,8 @@ class MiningEngine {
 
   // --- Component access (benchmarks, tests) ----------------------------------
 
-  /// The build-time options (ShardedEngine inherits them when resharding
-  /// an already-built engine's corpus).
+  /// The build-time options (ShardedEngine::Adopt reports them as its
+  /// fleet options; a fleet built over an engine's corpus can reuse them).
   const Options& options() const { return options_; }
   const Corpus& corpus() const { return corpus_; }
   const PhraseDictionary& dict() const { return dict_; }
@@ -469,15 +489,20 @@ class MiningEngine {
   const ForwardIndex& forward() const { return forward_full_; }
   const ForwardIndex& forward_compressed() const { return forward_compressed_; }
   const PhraseListFile& phrase_file() const { return phrase_file_; }
+  /// Average number of distinct phrases per document, sum_p df(p) / |D|
+  /// over the base structures (the cost model's forward-list length);
+  /// recomputed by every build and rebuild. Read under
+  /// WithSharedStructures when a rebuild may run concurrently.
+  double avg_doc_phrases() const { return avg_doc_phrases_; }
   /// Unsynchronized view of the lazily built word lists; see the class
   /// threading contract before reading this concurrently.
   const WordScoreLists& word_lists() const { return *word_lists_; }
 
-  /// The cached id-ordered SMJ lists at the current fraction, or nullptr
-  /// before any SMJ mine / EnsureIdOrderedLists call (and right after a
-  /// word-list merge or fraction change invalidates them). Read only
-  /// under WithSharedStructures, and re-check for null there: the caller
-  /// must fall back to the score-ordered lists when absent.
+  /// The cached id-ordered SMJ lists at the current fraction -- one per
+  /// term an SMJ mine or EnsureIdOrderedLists asked for -- or nullptr
+  /// before the first (and right after a rebuild or fraction change).
+  /// Read only under WithSharedStructures, and check Has(term) there: the
+  /// caller must fall back to the score-ordered lists when absent.
   const WordIdOrderedLists* id_ordered_lists() const {
     return id_lists_.get();
   }
@@ -512,6 +537,9 @@ class MiningEngine {
     std::mutex exact_mu;
     std::mutex gm_mu;
     std::mutex simitsis_mu;
+    /// EnsureWordLists lookups (word_list_stats); relaxed counters.
+    std::atomic<uint64_t> list_hits{0};
+    std::atomic<uint64_t> list_misses{0};
   };
 
   MiningEngine() = default;
@@ -545,6 +573,7 @@ class MiningEngine {
   ForwardIndex forward_full_;
   ForwardIndex forward_compressed_;
   PhraseListFile phrase_file_;
+  double avg_doc_phrases_ = 0.0;
 
   /// Set when the engine was loaded from a persisted index file: the open
   /// mapping plus the absolute offsets of the persisted word-list entry

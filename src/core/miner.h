@@ -19,7 +19,8 @@ class DeltaIndex;   // core/delta_index.h
 struct TraceSpan;   // obs/trace.h
 
 /// What a result is worth relative to corpus updates absorbed so far
-/// (Section 4.5.1). Stamped into MineResult by MiningEngine/PhraseService.
+/// (Section 4.5.1). Stamped into MineResult by MiningEngine (and merged
+/// per shard by ShardedEngine).
 enum class UpdateGuarantee {
   /// No update overlay was in effect: the result reflects the base corpus
   /// under the algorithm's own exact/approximate contract.
@@ -118,7 +119,8 @@ struct MineResult {
   /// epochs (monotone under updates); the full vector is in shard_epochs.
   uint64_t epoch = 0;
   /// Composite epoch vector: the epoch of every shard this result was
-  /// mined against, in shard order. Empty for single-engine mines. Two
+  /// mined against, in shard order. Empty for MiningEngine::Mine; one
+  /// entry for a ShardedEngine that adopted a single engine. Two
   /// results are freshness-comparable only if their vectors compare
   /// element-wise; the scalar `epoch` sum exists for monotone ordering
   /// and must not be used as a cache identity on its own.

@@ -26,8 +26,7 @@ namespace phrasemine {
 /// Threading: individual lists are immutable after construction, and all
 /// const member functions are safe to call concurrently. Mutations (Merge,
 /// Insert) require exclusive access; MiningEngine serializes them behind
-/// its internal lock, and PhraseService builds per-query bundles that are
-/// never shared across threads.
+/// its internal lock.
 class WordScoreLists {
  public:
   WordScoreLists() = default;
@@ -53,9 +52,8 @@ class WordScoreLists {
                                  const PhraseDictionary& dict,
                                  uint32_t min_term_df = 1);
 
-  /// Builds the score-ordered list of a single term. This is the unit of
-  /// work the service-layer word-list cache stores and shares; the output
-  /// is byte-identical to the per-term lists produced by Build/BuildAll.
+  /// Builds the score-ordered list of a single term; the output is
+  /// byte-identical to the per-term lists produced by Build/BuildAll.
   static SharedWordList BuildOne(const InvertedIndex& inverted,
                                  const ForwardIndex& forward,
                                  const PhraseDictionary& dict, TermId term);
@@ -148,7 +146,7 @@ class WordIdOrderedLists {
   WordIdOrderedLists() = default;
 
   /// Empty container pinned at a fraction, to be populated via Insert
-  /// (service-layer per-query bundles assembled from cached lists).
+  /// (the engine's per-term id lists and its per-query overlay bundles).
   explicit WordIdOrderedLists(double fraction);
 
   WordIdOrderedLists(WordIdOrderedLists&&) = default;
@@ -161,9 +159,9 @@ class WordIdOrderedLists {
                                   double fraction);
 
   /// Re-sorts one score-ordered list prefix by phrase id; the single-term
-  /// unit of Build, shared with the service-layer cache. The prefix must
-  /// already be truncated to the desired fraction (see
-  /// WordScoreLists::Partial).
+  /// unit of Build, which MiningEngine also uses to build id-ordered lists
+  /// term by term. The prefix must already be truncated to the desired
+  /// fraction (see WordScoreLists::Partial).
   static SharedWordList IdOrderPrefix(std::span<const ListEntry> prefix);
 
   /// Merges two id-ordered entry runs into one id-ordered list. Used to
@@ -188,14 +186,14 @@ class WordIdOrderedLists {
 
   /// Shared handle to a term's SoA view; nullptr if absent. Pass it to
   /// another container's Insert to share the view instead of rebuilding
-  /// it (per-query bundles assembled from cached lists).
+  /// it (per-query overlay bundles).
   SharedSoAList shared_soa(TermId term) const;
 
   /// Adds a prebuilt id-ordered list; keeps any existing list for the
   /// term. When `soa` is null the SoA view is built here (an O(list)
   /// copy); pass the list's already-built view to make insertion O(1) --
   /// the per-query bundle paths do, so a bundle never re-packs a list the
-  /// engine or service already packed.
+  /// engine already packed.
   void Insert(TermId term, SharedWordList list, SharedSoAList soa = nullptr);
 
   double fraction() const { return fraction_; }

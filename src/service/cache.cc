@@ -29,11 +29,9 @@ Query CanonicalizeQuery(const Query& query) {
 
 std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
                            const MineOptions& options, double smj_fraction,
-                           uint64_t epoch, std::span<const uint64_t> shard_epochs) {
+                           std::span<const uint64_t> shard_epochs) {
   char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "g%llu|a%d|o%d|k%zu|f%.17g|s%.17g|b%zu|e%d|m%d|t:",
-                static_cast<unsigned long long>(epoch),
+  std::snprintf(buf, sizeof(buf), "a%d|o%d|k%zu|f%.17g|s%.17g|b%zu|e%d|m%d|t:",
                 static_cast<int>(algorithm),
                 static_cast<int>(canonical_query.op), options.k,
                 options.list_fraction, smj_fraction, options.nra_batch_size,

@@ -49,19 +49,17 @@ Query CanonicalizeQuery(const Query& query);
 /// `smj_fraction` is the construction fraction of the id-ordered lists the
 /// mine will run on -- it determines kSmj output (MineOptions::list_fraction
 /// is ignored there) and must be part of the key; pass the default for
-/// algorithms that do not read it. `epoch` is the engine update epoch the
-/// result is valid for: stamping it into the key makes an Ingest
-/// atomically unreachable-invalidate every stale entry without a global
-/// flush (old-epoch entries age out of the LRU). Queries carrying a
-/// caller-supplied delta overlay must not be cached (that overlay is
-/// external mutable state); PhraseService skips the cache for those.
-/// `shard_epochs` is the composite epoch vector of a ShardedEngine mine:
-/// the full vector enters the key (two different vectors can share one
-/// epoch sum, so the scalar alone would alias distinct freshness states);
-/// leave it empty for single-engine results.
+/// algorithms that do not read it. `shard_epochs` is the composite epoch
+/// vector (ShardedEngine::epochs, one entry per shard) the result is valid
+/// for: stamping the full vector into the key makes an Ingest atomically
+/// unreachable-invalidate every stale entry without a global flush
+/// (old-epoch entries age out of the LRU), and two different vectors that
+/// share one epoch sum never alias. Queries carrying a caller-supplied
+/// delta overlay must not be cached (that overlay is external mutable
+/// state); PhraseService skips the cache for those.
 std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
                            const MineOptions& options,
-                           double smj_fraction = -1.0, uint64_t epoch = 0,
+                           double smj_fraction = -1.0,
                            std::span<const uint64_t> shard_epochs = {});
 
 /// A fixed-capacity LRU cache split into independently locked shards, so
@@ -70,7 +68,7 @@ std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
 /// from its own LRU tail once its slice of the budget is exceeded.
 ///
 /// Value should be cheap to copy -- PhraseService stores shared_ptrs to
-/// immutable results and word lists, so a Get hands out shared ownership
+/// immutable results, so a Get hands out shared ownership
 /// and an eviction never invalidates data a running query still uses.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache {

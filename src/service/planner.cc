@@ -46,25 +46,8 @@ std::string PlanDecision::ToString() const {
   return out;
 }
 
-CostPlanner::CostPlanner(const MiningEngine* engine, PlannerOptions options,
-                         ListProbe probe)
-    : engine_(engine), options_(options), probe_(std::move(probe)) {
-  if (!probe_) {
-    probe_ = [engine](TermId term) -> std::optional<std::size_t> {
-      if (!engine->word_lists().Has(term)) return std::nullopt;
-      return engine->word_lists().list(term).size();
-    };
-  }
-  // Average forward-list length: each phrase contributes one entry to the
-  // forward list of every document it occurs in, so the mean list length
-  // is sum_p df(p) / |D|.
-  const PhraseDictionary& dict = engine_->dict();
-  uint64_t total_df = 0;
-  for (PhraseId p = 0; p < dict.size(); ++p) total_df += dict.df(p);
-  const std::size_t num_docs = engine_->corpus().size();
-  avg_doc_phrases_ =
-      num_docs == 0 ? 0.0 : static_cast<double>(total_df) / num_docs;
-}
+CostPlanner::CostPlanner(const MiningEngine* engine, PlannerOptions options)
+    : engine_(engine), options_(options) {}
 
 PlanDecision CostPlanner::Plan(const Query& query,
                                const MineOptions& options) const {
@@ -73,27 +56,19 @@ PlanDecision CostPlanner::Plan(const Query& query,
 
 PlanDecision CostPlanner::Plan(const Query& query, const MineOptions& options,
                                const EpochDelta& snap) const {
-  return PlanFromInputs(GatherInputs(query, options, snap), options_);
+  return PlanFromInputs(GatherInputs(*engine_, query, options, snap),
+                        options_);
 }
 
 PlannerInputs CostPlanner::GatherInputs(const Query& query,
                                         const MineOptions& options) const {
-  return GatherInputs(query, options, engine_->delta_snapshot());
-}
-
-PlannerInputs CostPlanner::GatherInputs(const Query& query,
-                                        const MineOptions& options,
-                                        const EpochDelta& snap) const {
-  return GatherInputs(*engine_, query, options, snap, avg_doc_phrases_,
-                      probe_);
+  return GatherInputs(*engine_, query, options, engine_->delta_snapshot());
 }
 
 PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
                                         const Query& query,
                                         const MineOptions& options,
-                                        const EpochDelta& snap,
-                                        double avg_doc_phrases,
-                                        const ListProbe& probe) {
+                                        const EpochDelta& snap) {
   // The overlay corrects the document-frequency inputs, so selectivity
   // estimates stay honest as updates accumulate between rebuilds. The
   // stats gathering runs under the engine's shared structure lock so a
@@ -108,7 +83,7 @@ PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
     const auto base_docs = static_cast<int64_t>(engine.corpus().size());
     gathered.num_docs = static_cast<std::size_t>(
         std::max<int64_t>(base_docs + docs_delta, 0));
-    gathered.avg_doc_phrases = avg_doc_phrases;
+    gathered.avg_doc_phrases = engine.avg_doc_phrases();
     gathered.op = query.op;
     gathered.k = options.k;
     gathered.updates_pending = delta != nullptr;
@@ -139,17 +114,11 @@ PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
         auto it = observed->find(t);
         if (it != observed->end()) stats.observed_queries = it->second;
       }
-      std::optional<std::size_t> len;
-      if (probe) {
-        len = probe(t);
-      } else if (engine.word_lists().Has(t)) {
-        // Probe-free fallback: the engine's own lazy lists, safe to read
-        // here because this lambda runs under the structure lock.
-        len = engine.word_lists().list(t).size();
-      }
-      if (len.has_value()) {
+      // The engine's own lazy lists, safe to read here because this
+      // lambda runs under the structure lock.
+      if (engine.word_lists().Has(t)) {
         stats.list_built = true;
-        stats.list_length = *len;
+        stats.list_length = engine.word_lists().list(t).size();
       } else {
         // A term's list holds the distinct phrases co-occurring with it,
         // bounded by the total phrase occurrences across docs(term).
@@ -382,6 +351,7 @@ PlanDecision CostPlanner::PlanFromInputs(const PlannerInputs& inputs,
 PlanDecision CostPlanner::PlanAcrossShards(
     std::span<const PlannerInputs> shards, const PlannerOptions& options) {
   PM_CHECK_MSG(!shards.empty(), "PlanAcrossShards requires at least one shard");
+  if (shards.size() == 1) return PlanFromInputs(shards.front(), options);
 
   // Aggregate to global inputs over the disjoint partition: dfs, doc
   // counts and list lengths sum; avg_doc_phrases is doc-weighted; a list

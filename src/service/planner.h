@@ -2,8 +2,6 @@
 #define PHRASEMINE_SERVICE_PLANNER_H_
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,8 +18,8 @@ struct TermPlanStats {
   TermId term = 0;
   /// Document frequency |docs(q)| from the inverted index.
   uint32_t df = 0;
-  /// True when the term's score-ordered word list already exists (engine
-  /// lazy index or service cache), i.e. no build cost applies.
+  /// True when the term's score-ordered word list already exists in the
+  /// engine's lazy index, i.e. no build cost applies.
   bool list_built = false;
   /// Actual list length when built, otherwise the planner's estimate.
   std::size_t list_length = 0;
@@ -167,20 +165,13 @@ struct PlannerInputs {
 /// degrade as the overlay grows between rebuilds (the overlay cannot shift
 /// list lengths, which only change at a rebuild).
 ///
-/// Thread-safety: Plan() is const, gathers engine statistics under the
+/// Thread-safety: Plan() is const and gathers engine statistics under the
 /// engine's shared structure lock (so a concurrent rebuild cannot swap
-/// indexes mid-read) and calls the injected list probe; it is safe from
-/// any number of service threads concurrently.
+/// indexes mid-read); it is safe from any number of threads concurrently.
 class CostPlanner {
  public:
-  /// Reports the score-list length for a term when one is already built,
-  /// nullopt otherwise. PhraseService injects a probe over its sharded
-  /// word-list cache; the default probe reads engine.word_lists(), which
-  /// is only safe while no concurrent engine merges run.
-  using ListProbe = std::function<std::optional<std::size_t>(TermId)>;
-
   explicit CostPlanner(const MiningEngine* engine,
-                       PlannerOptions options = {}, ListProbe probe = nullptr);
+                       PlannerOptions options = {});
 
   /// Plans one query. `query` should be canonicalized (sorted unique
   /// terms) so equal term sets produce identical decisions.
@@ -191,27 +182,21 @@ class CostPlanner {
   PlanDecision Plan(const Query& query, const MineOptions& options,
                     const EpochDelta& snap) const;
 
-  /// Gathers this engine's cost-model inputs for one query (per-term
-  /// delta-corrected dfs, list availability, corpus scalars) without
-  /// deciding anything. The sharded engine collects one of these per
-  /// shard (under its fleet lock) and feeds them to PlanAcrossShards.
+  /// This engine's cost-model inputs for one query at its current
+  /// snapshot (see the static form below).
   PlannerInputs GatherInputs(const Query& query,
                              const MineOptions& options) const;
-  PlannerInputs GatherInputs(const Query& query, const MineOptions& options,
-                             const EpochDelta& snap) const;
 
-  /// The planner-free gathering primitive: reads `engine`'s statistics
-  /// under its shared structure lock against the caller's snapshot.
-  /// `avg_doc_phrases` is sum_p df(p) / |D| (callers cache it; it only
-  /// changes when the indexes rebuild). A null `probe` reads the
-  /// engine's own lazily built word lists (safe: the probe runs under
-  /// the structure lock).
+  /// The gathering primitive: reads `engine`'s cost-model inputs for one
+  /// query (per-term delta-corrected dfs, the engine's own built-list
+  /// lengths, corpus scalars) under its shared structure lock against the
+  /// caller's snapshot, without deciding anything. ShardedEngine collects
+  /// one of these per shard (under its fleet lock) and feeds them to
+  /// PlanAcrossShards.
   static PlannerInputs GatherInputs(const MiningEngine& engine,
                                     const Query& query,
                                     const MineOptions& options,
-                                    const EpochDelta& snap,
-                                    double avg_doc_phrases,
-                                    const ListProbe& probe = nullptr);
+                                    const EpochDelta& snap);
 
   /// The pure cost model, exposed for decision-table tests.
   static PlanDecision PlanFromInputs(const PlannerInputs& inputs,
@@ -223,7 +208,9 @@ class CostPlanner {
   /// per-term dfs and doc counts summed over the disjoint partition --
   /// while the cost of each candidate algorithm is the *maximum* of its
   /// per-shard costs: shards mine in parallel, so the modeled latency of
-  /// a scatter is its slowest shard (makespan), not the sum.
+  /// a scatter is its slowest shard (makespan), not the sum. A single
+  /// shard plans exactly like PlanFromInputs of its inputs (no aggregation,
+  /// no "sharded(1)" prefix), so a one-engine service keeps its plans.
   static PlanDecision PlanAcrossShards(std::span<const PlannerInputs> shards,
                                        const PlannerOptions& options);
 
@@ -232,9 +219,6 @@ class CostPlanner {
  private:
   const MiningEngine* engine_;
   PlannerOptions options_;
-  ListProbe probe_;
-  /// Precomputed average forward-list length of the corpus.
-  double avg_doc_phrases_ = 0.0;
 };
 
 }  // namespace phrasemine

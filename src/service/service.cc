@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/nra_miner.h"
-#include "core/smj_miner.h"
 
 namespace phrasemine {
 
@@ -105,58 +103,24 @@ std::string ServiceStats::ToString() const {
 
 PhraseService::PhraseService(MiningEngine* engine,
                              PhraseServiceOptions options)
-    : engine_(engine),
-      options_(options),
-      smj_fraction_(options.smj_fraction.value_or(engine->smj_fraction())),
-      planner_(engine, options.planner,
-               // Probe the service's own cache so planning never races
-               // with engine-internal merges. With the cache disabled the
-               // probe conservatively reports "not built".
-               [this](TermId term) -> std::optional<std::size_t> {
-                 if (!options_.enable_word_list_cache) return std::nullopt;
-                 const uint64_t generation = engine_->list_generation();
-                 if (auto entry =
-                         word_list_cache_.Peek(ScoreListKey(term, generation))) {
-                   return entry->list->size();
-                 }
-                 return std::nullopt;
-               }),
-      result_cache_(options.result_cache_shards, options.result_cache_bytes,
-                    &registry_, "result_cache"),
-      word_list_cache_(options.word_list_cache_shards,
-                       options.word_list_cache_bytes, &registry_,
-                       "word_list_cache"),
-      pool_(PoolOptionsWith(options.pool, &registry_)) {
-  if (options_.num_shards > 0) {
-    // The num_shards config switch: reshard the engine's base corpus into
-    // an internal ShardedEngine (one corpus copy + shard index build) and
-    // serve every query through the scatter-gather path.
-    ShardedEngineOptions sharded_options;
-    sharded_options.num_shards = options_.num_shards;
-    // A disk tier configured on the engine survives the reshard:
-    // ShardedEngine::Build merges the embedded engine options' tier
-    // into the fleet-level switches.
-    sharded_options.engine = engine_->options();
-    owned_sharded_ = std::make_unique<ShardedEngine>(ShardedEngine::Build(
-        engine_->CloneBaseCorpus(), std::move(sharded_options)));
-    sharded_ = owned_sharded_.get();
-  }
-  InitMetrics();
-}
+    : PhraseService(
+          nullptr,
+          std::make_unique<ShardedEngine>(ShardedEngine::Adopt(engine)),
+          std::move(options)) {}
 
 PhraseService::PhraseService(ShardedEngine* sharded,
                              PhraseServiceOptions options)
-    : engine_(&sharded->shard(0)),
-      options_(options),
-      sharded_(sharded),
-      smj_fraction_(1.0),  // sharded SMJ always merges full lists
-      planner_(engine_, options.planner),
-      result_cache_(options.result_cache_shards, options.result_cache_bytes,
+    : PhraseService(sharded, nullptr, std::move(options)) {}
+
+PhraseService::PhraseService(ShardedEngine* fleet,
+                             std::unique_ptr<ShardedEngine> adopted,
+                             PhraseServiceOptions options)
+    : adopted_(std::move(adopted)),
+      fleet_(adopted_ != nullptr ? adopted_.get() : fleet),
+      options_(std::move(options)),
+      result_cache_(options_.result_cache_shards, options_.result_cache_bytes,
                     &registry_, "result_cache"),
-      word_list_cache_(options.word_list_cache_shards,
-                       options.word_list_cache_bytes, &registry_,
-                       "word_list_cache"),
-      pool_(PoolOptionsWith(options.pool, &registry_)) {
+      pool_(PoolOptionsWith(options_.pool, &registry_)) {
   InitMetrics();
 }
 
@@ -185,20 +149,18 @@ void PhraseService::InitMetrics() {
       registry_.GetCounter("exchange_candidates_pruned_total");
   fill_slots_total_ = registry_.GetCounter("exchange_fill_slots_total");
   latency_us_ = registry_.GetHistogram("service_latency_us");
-  if (sharded_ != nullptr) {
-    const std::size_t n = sharded_->num_shards();
-    shard_disk_blocks_.reserve(n);
-    shard_disk_seeks_.reserve(n);
-    shard_disk_bytes_.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-      shard_disk_blocks_.push_back(
-          registry_.GetCounter("shard_disk_blocks_total" + label));
-      shard_disk_seeks_.push_back(
-          registry_.GetCounter("shard_disk_seeks_total" + label));
-      shard_disk_bytes_.push_back(
-          registry_.GetCounter("shard_disk_bytes_total" + label));
-    }
+  const std::size_t n = fleet_->num_shards();
+  shard_disk_blocks_.reserve(n);
+  shard_disk_seeks_.reserve(n);
+  shard_disk_bytes_.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+    shard_disk_blocks_.push_back(
+        registry_.GetCounter("shard_disk_blocks_total" + label));
+    shard_disk_seeks_.push_back(
+        registry_.GetCounter("shard_disk_seeks_total" + label));
+    shard_disk_bytes_.push_back(
+        registry_.GetCounter("shard_disk_bytes_total" + label));
   }
 }
 
@@ -294,15 +256,15 @@ Status PhraseService::AdmissionCheck(const ServiceRequest& request) {
       1000.0;
   if (ewma_ms <= 0.0) return Status::OK();  // no latency signal yet: admit
   double exec_ms = ewma_ms;
-  if (adm.cost_to_ms > 0.0 && sharded_ == nullptr &&
-      !request.algorithm.has_value()) {
+  if (adm.cost_to_ms > 0.0 && !request.algorithm.has_value()) {
     // One extra (cheap, list-build-free) planning pass converts the cost
     // model's entry estimate into milliseconds; the measured EWMA stays
     // the floor so a mistuned cost_to_ms can only shed earlier, not admit
     // queries the observed latency already rules out.
     const Query canonical = CanonicalizeQuery(request.query);
-    const PlanDecision decision =
-        planner_.Plan(canonical, request.options, engine_->delta_snapshot());
+    const PlanDecision decision = CostPlanner::PlanAcrossShards(
+        fleet_->GatherPlannerInputs(canonical, request.options),
+        options_.planner);
     for (const auto& [algorithm, cost] : decision.estimated_costs) {
       if (algorithm == decision.algorithm) {
         exec_ms = std::max(exec_ms, cost * adm.cost_to_ms);
@@ -335,7 +297,6 @@ Status PhraseService::ValidateRequest(const Query& canonical,
 }
 
 ServiceReply PhraseService::Execute(const ServiceRequest& request) {
-  if (sharded_ != nullptr) return ExecuteSharded(request);
   StopWatch watch;
   ServiceReply reply;
   // The request's span tree hangs off the reply, never the cached result;
@@ -354,142 +315,15 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     if (troot != nullptr) troot->wall_ms = reply.latency_ms;
     return reply;
   }
-  // Thread the request's token into the mine options every layer below
-  // receives; the cache key serializer ignores the pointer, so deadline
-  // and no-deadline spellings of a query share cache entries.
-  MineOptions mine_options = request.options;
-  if (request.cancel != nullptr) mine_options.cancel = request.cancel.get();
-  if (CancelExpired(mine_options.cancel)) {
-    deadline_exceeded_total_->Increment();
-    reply.status =
-        Status::DeadlineExceeded("deadline expired before execution");
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
-  }
-  CountTermQueries(canonical);
-
-  // One update snapshot per request: the epoch keys the result cache, the
-  // generation keys the word lists, and the overlay delta-corrects the
-  // mine. Fetched before planning so a racing Ingest can only move this
-  // request to a *newer* epoch, never an older one.
-  const EpochDelta snap = engine_->delta_snapshot();
-
-  Algorithm algorithm;
-  {
-    TraceSpan* plan_span = AddSpan(troot, "plan");
-    SpanTimer plan_timer(plan_span);
-    if (request.algorithm.has_value()) {
-      algorithm = *request.algorithm;
-      reply.plan.algorithm = algorithm;
-      reply.plan.op = canonical.op;
-      reply.plan.k = mine_options.k;
-      reply.plan.reason = "forced by caller";
-    } else {
-      reply.plan = planner_.Plan(canonical, mine_options, snap);
-      algorithm = reply.plan.algorithm;
-    }
-    plan_timer.Stop();
-    SetDetail(plan_span, reply.plan.ToString());
-  }
-
-  // Caller-supplied delta overlays are external mutable state and not
-  // cacheable; the engine's own overlay is immutable per epoch, so its
-  // results cache fine under the epoch-stamped key.
-  const bool cacheable =
-      options_.enable_result_cache && mine_options.delta == nullptr;
-  std::string key;
-  if (cacheable) {
-    // kSmj output depends on the construction fraction of the id-ordered
-    // lists it will run on: the service's resolved fraction for cached
-    // bundles, the engine's current fraction when routed through Mine().
-    double smj_fraction = -1.0;
-    if (algorithm == Algorithm::kSmj) {
-      smj_fraction = options_.enable_word_list_cache
-                         ? smj_fraction_
-                         : engine_->smj_fraction();
-    }
-    key = ResultCacheKey(canonical, algorithm, mine_options, smj_fraction,
-                         snap.epoch);
-    TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
-    SpanTimer cache_timer(cache_span);
-    auto hit = result_cache_.Get(key);
-    cache_timer.Stop();
-    AddCounter(cache_span, "hit", hit.has_value() ? 1.0 : 0.0);
-    if (hit) {
-      reply.result = (*hit)->result;
-      reply.epoch = reply.result.epoch;
-      reply.result_cache_hit = true;
-      reply.latency_ms = watch.ElapsedMillis();
-      if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-      RecordQuery(algorithm, request.algorithm.has_value(),
-                  /*executed=*/false, reply.latency_ms);
-      MaybeLogSlowQuery(canonical, algorithm, reply);
-      return reply;
-    }
-  }
-
-  reply.result = Run(canonical, algorithm, mine_options, snap);
-  // A non-OK mine (deadline fired mid-merge, disk tier latched an error)
-  // surfaces on the reply; the partial result is accounting, not a
-  // ranking, and must never be cached.
-  reply.status = reply.result.status;
-  if (reply.status.code() == StatusCode::kDeadlineExceeded) {
-    deadline_exceeded_total_->Increment();
-  }
-  // Re-root the mine's trace under the request span and strip it from the
-  // result: the result may be cached below, and a cached trace would
-  // replay a stale execution story on every hit.
-  if (troot != nullptr && reply.result.trace != nullptr) {
-    troot->children.push_back(std::move(reply.result.trace));
-  }
-  reply.result.trace.reset();
-  // Run stamps epoch and guarantee (bundle mines from the snapshot, engine
-  // mines inside the engine); max() keeps the label truthful if an
-  // engine-routed mine raced onto a newer epoch. A caller-supplied overlay
-  // is external state the engine knows nothing about -- its results keep
-  // epoch 0, matching the engine's own contract.
-  if (mine_options.delta == nullptr) {
-    reply.result.epoch = std::max(reply.result.epoch, snap.epoch);
-  }
-  reply.epoch = reply.result.epoch;
-  if (cacheable && reply.status.ok()) {
-    auto shared =
-        std::make_shared<const CachedResult>(CachedResult{reply.result, {}});
-    result_cache_.Put(key, shared, ResultCharge(key, *shared));
-  }
-  reply.latency_ms = watch.ElapsedMillis();
-  if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-  RecordQuery(algorithm, request.algorithm.has_value(), /*executed=*/true,
-              reply.latency_ms, reply.result.disk_io);
-  MaybeLogSlowQuery(canonical, algorithm, reply);
-  return reply;
-}
-
-ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
-  StopWatch watch;
-  ServiceReply reply;
-  if (request.options.trace) {
-    reply.trace = std::make_shared<TraceSpan>();
-    reply.trace->name = "query";
-  }
-  TraceSpan* troot = reply.trace.get();
-  const Query canonical = CanonicalizeQuery(request.query);
-  if (Status invalid = ValidateRequest(canonical, request.options);
-      !invalid.ok()) {
-    reply.status = std::move(invalid);
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
-  }
-  // Caller-supplied overlays are a single-engine concept; the sharded
-  // engine applies its own per-shard overlays internally (and would
-  // refuse an external one). Drop it and say so rather than aborting.
+  // The fleet applies its engines' own overlays and refuses an external
+  // one: drop a caller-supplied overlay and say so rather than aborting.
   MineOptions effective = request.options;
   const bool caller_delta = effective.delta != nullptr;
   effective.delta = nullptr;
   // One shared token cancels every shard leg: the first leg observing the
-  // deadline latches it, the siblings see the flag.
+  // deadline latches it, the siblings see the flag. The cache key
+  // serializer ignores the pointer, so deadline and no-deadline spellings
+  // of a query share cache entries.
   if (request.cancel != nullptr) effective.cancel = request.cancel.get();
   if (CancelExpired(effective.cancel)) {
     deadline_exceeded_total_->Increment();
@@ -501,12 +335,11 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
   }
   CountTermQueries(canonical);
 
-  // The composite epoch vector plays the role the scalar snapshot epoch
-  // plays on the single-engine path: fetched before planning, it keys the
-  // result cache so an ingest to any shard strands that shard's stale
-  // entries by unreachability. A mine racing onto a newer shard epoch only
-  // moves the reply forward in freshness, same as the engine-routed path.
-  const std::vector<uint64_t> epochs = sharded_->epochs();
+  // The composite epoch vector, fetched before planning, keys the result
+  // cache: an ingest to any shard strands that shard's stale entries by
+  // unreachability. A mine racing onto a newer epoch only moves the reply
+  // forward in freshness.
+  const std::vector<uint64_t> epochs = fleet_->epochs();
 
   Algorithm algorithm;
   {
@@ -519,17 +352,17 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
       reply.plan.k = effective.k;
       reply.plan.reason = "forced by caller";
     } else {
-      // Per-shard inputs are gathered by the sharded engine under its
-      // fleet lock -- the service must never cache per-shard planners,
-      // which would dangle across a dictionary refresh.
+      // Per-shard inputs are gathered by the fleet under its fleet lock --
+      // the service must never cache per-shard planners, which would
+      // dangle across a dictionary refresh.
       reply.plan = CostPlanner::PlanAcrossShards(
-          sharded_->GatherPlannerInputs(canonical, effective),
+          fleet_->GatherPlannerInputs(canonical, effective),
           options_.planner);
       algorithm = reply.plan.algorithm;
     }
     if (caller_delta) {
       reply.plan.reason +=
-          " (caller delta ignored: sharded engines apply per-shard overlays)";
+          " (caller delta ignored: the engines apply their own overlays)";
     }
     plan_timer.Stop();
     SetDetail(plan_span, reply.plan.ToString());
@@ -538,10 +371,11 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
   const bool cacheable = options_.enable_result_cache && !caller_delta;
   std::string key;
   if (cacheable) {
-    // Sharded SMJ always merges full lists, so its fraction is fixed 1.
-    key = ResultCacheKey(canonical, algorithm, effective,
-                         algorithm == Algorithm::kSmj ? 1.0 : -1.0,
-                         /*epoch=*/0, epochs);
+    // kSmj output depends on the construction fraction of the id-ordered
+    // lists it runs on, which the fleet reports.
+    key = ResultCacheKey(
+        canonical, algorithm, effective,
+        algorithm == Algorithm::kSmj ? fleet_->smj_fraction() : -1.0, epochs);
     TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
     SpanTimer cache_timer(cache_span);
     auto hit = result_cache_.Get(key);
@@ -561,11 +395,12 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
     }
   }
 
-  ShardedMineResult mined = sharded_->Mine(canonical, algorithm, effective);
+  ShardedMineResult mined = fleet_->Mine(canonical, algorithm, effective);
   reply.result = std::move(mined.result);
   reply.phrase_texts = std::move(mined.texts);
-  // A cancelled scatter-gather surfaces its status here; the partial
-  // accounting it assembled is not a ranking and is never cached.
+  // A non-OK mine (deadline fired mid-merge, disk tier latched an error)
+  // surfaces on the reply; the partial result is accounting, not a
+  // ranking, and must never be cached.
   reply.status = reply.result.status;
   if (reply.status.code() == StatusCode::kDeadlineExceeded) {
     deadline_exceeded_total_->Increment();
@@ -584,9 +419,9 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
     shard_disk_seeks_[s]->Add(io.seeks);
     shard_disk_bytes_[s]->Add(io.bytes);
   }
-  // Re-root the merge's trace under the request span and strip it from
-  // the result before the cache sees it (a cached trace would replay a
-  // stale execution story on every hit).
+  // Re-root the mine's trace under the request span and strip it from the
+  // result before the cache sees it (a cached trace would replay a stale
+  // execution story on every hit).
   if (troot != nullptr && reply.result.trace != nullptr) {
     troot->children.push_back(std::move(reply.result.trace));
   }
@@ -604,137 +439,6 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
   return reply;
 }
 
-MineResult PhraseService::Run(const Query& canonical, Algorithm algorithm,
-                              const MineOptions& options, EpochDelta snap) {
-  if (options_.enable_word_list_cache &&
-      (algorithm == Algorithm::kNra || algorithm == Algorithm::kSmj)) {
-    // The list-based serving algorithms mine per-query bundles assembled
-    // from the sharded cache: no engine mutation, no global lock. Under a
-    // pending overlay the miners delta-correct each entry at read time,
-    // so cached lists stay valid across delta epochs. The loop restarts
-    // with a fresh snapshot when a background rebuild swaps the structure
-    // generation mid-assembly (GetOrBuild* then refuses to build, so a
-    // new-generation list can never be cached under the old key).
-    //
-    // The miners receive engine_->dict() by reference but never read it
-    // during Mine (scores come entirely from the bundle + overlay; the
-    // overlay snapshots its base dfs at ingest). If a list miner ever
-    // starts dereferencing the dictionary mid-mine, this lock-free path
-    // must move under WithSharedStructures or pin the dictionary.
-    for (;;) {
-      MineOptions effective = options;
-      if (effective.delta == nullptr && snap.delta != nullptr &&
-          snap.delta->pending_updates() > 0) {
-        effective.delta = snap.delta.get();
-      }
-      bool stale = false;
-      MineResult result;
-      if (algorithm == Algorithm::kNra) {
-        WordScoreLists bundle;
-        for (TermId t : canonical.terms) {
-          SharedWordList list = GetOrBuildScoreList(t, snap.generation);
-          if (list == nullptr) {
-            stale = true;
-            break;
-          }
-          bundle.Insert(t, std::move(list));
-        }
-        if (!stale) {
-          NraMiner miner(bundle, engine_->dict());
-          result = miner.Mine(canonical, effective);
-        }
-      } else {
-        WordIdOrderedLists bundle(smj_fraction_);
-        for (TermId t : canonical.terms) {
-          CachedWordList cached = GetOrBuildIdList(t, snap.generation);
-          if (cached.list == nullptr) {
-            stale = true;
-            break;
-          }
-          SharedWordList base = cached.list;
-          SharedSoAList soa = std::move(cached.soa);
-          if (effective.delta != nullptr) {
-            // Overlay phrases whose co-occurrence with t became positive
-            // purely through updates; without them SMJ loses its
-            // exactness guarantee under inserts (Section 4.5.1). When the
-            // overlay returns the base pointer untouched (no extras for
-            // this term) the cached SoA view stays valid; otherwise the
-            // bundle re-packs the overlaid run.
-            SharedWordList overlaid =
-                effective.delta->OverlayIdOrdered(t, base);
-            if (overlaid != base) soa = nullptr;
-            base = std::move(overlaid);
-          }
-          bundle.Insert(t, std::move(base), std::move(soa));
-        }
-        if (!stale) {
-          SmjMiner miner(bundle, engine_->dict());
-          result = miner.Mine(canonical, effective);
-        }
-      }
-      if (!stale) {
-        if (options.delta == nullptr) result.epoch = snap.epoch;
-        result.guarantee = GuaranteeFor(algorithm, effective.delta != nullptr,
-                                        smj_fraction_ >= 1.0);
-        return result;
-      }
-      snap = engine_->delta_snapshot();
-    }
-  }
-  MineOptions effective = options;
-  if (effective.delta == nullptr && snap.delta != nullptr &&
-      snap.delta->pending_updates() > 0) {
-    effective.delta = snap.delta.get();
-  }
-  return engine_->Mine(canonical, algorithm, effective);
-}
-
-SharedWordList PhraseService::GetOrBuildScoreList(TermId term,
-                                                  uint64_t generation) {
-  const uint64_t key = ScoreListKey(term, generation);
-  if (auto cached = word_list_cache_.Get(key)) return cached->list;
-  // Two threads racing on the same cold term both build; the lists are
-  // identical by construction, so the second Put is a harmless refresh.
-  // The shared structure lock keeps a concurrent rebuild from swapping
-  // the source indexes mid-build, and the generation check under that
-  // lock keeps a list built from post-rebuild indexes from being cached
-  // under the pre-rebuild key (nullptr tells the caller to refresh its
-  // snapshot and retry).
-  SharedWordList list =
-      engine_->WithSharedStructures([&]() -> SharedWordList {
-        if (engine_->list_generation() != generation) return nullptr;
-        return WordScoreLists::BuildOne(engine_->inverted(),
-                                        engine_->forward(), engine_->dict(),
-                                        term);
-      });
-  if (list == nullptr) return nullptr;
-  word_list_cache_.Put(key, CachedWordList{list, nullptr},
-                       list->size() * kListEntryBytes + 64);
-  return list;
-}
-
-PhraseService::CachedWordList PhraseService::GetOrBuildIdList(
-    TermId term, uint64_t generation) {
-  const uint64_t key = IdListKey(term, generation);
-  if (auto cached = word_list_cache_.Get(key)) return *cached;
-  SharedWordList score = GetOrBuildScoreList(term, generation);
-  if (score == nullptr) return {};  // stale generation: caller retries
-  const double fraction = std::clamp(smj_fraction_, 0.0, 1.0);
-  const std::size_t prefix_len = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(score->size())));
-  SharedWordList id_list = WordIdOrderedLists::IdOrderPrefix(
-      std::span<const ListEntry>(*score).subspan(0, prefix_len));
-  // The SoA kernel view is built once here and shared into every SMJ
-  // bundle that hits this cache entry.
-  auto soa = std::make_shared<const SoABlockList>(
-      SoABlockList::FromIdOrdered(std::span<const ListEntry>(*id_list)));
-  const CachedWordList entry{std::move(id_list), std::move(soa)};
-  word_list_cache_.Put(key, entry,
-                       entry.list->size() * kListEntryBytes +
-                           entry.soa->MemoryBytes() + 64);
-  return entry;
-}
-
 UpdateStats PhraseService::Ingest(UpdateDoc doc) {
   UpdateBatch batch;
   batch.inserts.push_back(std::move(doc));
@@ -742,20 +446,12 @@ UpdateStats PhraseService::Ingest(UpdateDoc doc) {
 }
 
 UpdateStats PhraseService::IngestBatch(const UpdateBatch& batch) {
-  if (sharded_ != nullptr) {
-    ShardedUpdateStats stats = sharded_->ApplyUpdate(batch);
-    ingests_total_->Increment();
-    if (stats.total.rebuild_recommended && options_.enable_auto_rebuild) {
-      MaybeScheduleRebuild(std::move(stats.rebuild_recommended));
-    }
-    return stats.total;
-  }
-  const UpdateStats stats = engine_->ApplyUpdate(batch);
+  ShardedUpdateStats stats = fleet_->ApplyUpdate(batch);
   ingests_total_->Increment();
-  if (stats.rebuild_recommended && options_.enable_auto_rebuild) {
-    MaybeScheduleRebuild();
+  if (stats.total.rebuild_recommended && options_.enable_auto_rebuild) {
+    MaybeScheduleRebuild(std::move(stats.rebuild_recommended));
   }
-  return stats;
+  return stats.total;
 }
 
 Result<uint64_t> PhraseService::Subscribe(const SubscriptionRequest& request) {
@@ -763,10 +459,7 @@ Result<uint64_t> PhraseService::Subscribe(const SubscriptionRequest& request) {
   if (subscriptions_ == nullptr) {
     SubscriptionManagerOptions opts = options_.subscriptions;
     opts.metrics = &registry_;  // subscribe_* metrics live with service_*
-    subscriptions_ =
-        sharded_ != nullptr
-            ? std::make_unique<SubscriptionManager>(sharded_, opts)
-            : std::make_unique<SubscriptionManager>(engine_, opts);
+    subscriptions_ = std::make_unique<SubscriptionManager>(fleet_, opts);
     subscriptions_ptr_.store(subscriptions_.get(), std::memory_order_release);
   }
   return subscriptions_->Subscribe(request);
@@ -804,17 +497,12 @@ Result<SubscriptionState> PhraseService::SubscriptionSnapshot(
 void PhraseService::MaybeScheduleRebuild(std::vector<uint8_t> shard_flags) {
   if (rebuild_inflight_.exchange(true)) return;
   auto rebuild = [this, flags = std::move(shard_flags)] {
-    if (sharded_ != nullptr) {
-      // Only the shards that crossed their threshold rebuild; each one
-      // counts as one completed rebuild (that is the blast-radius story:
-      // queries lose at most one shard's freshness at a time).
-      for (std::size_t s = 0; s < flags.size(); ++s) {
-        if (!flags[s]) continue;
-        sharded_->RebuildShard(s);
-        rebuilds_total_->Increment();
-      }
-    } else {
-      engine_->Rebuild();
+    // Only the shards that crossed their threshold rebuild; each one
+    // counts as one completed rebuild (that is the blast-radius story:
+    // queries lose at most one shard's freshness at a time).
+    for (std::size_t s = 0; s < flags.size(); ++s) {
+      if (!flags[s]) continue;
+      fleet_->RebuildShard(s);
       rebuilds_total_->Increment();
     }
     rebuild_inflight_.store(false);
@@ -868,11 +556,7 @@ bool PhraseService::RefreshPlacement() {
       installed_counts_[term] += delta;
     }
   }
-  if (sharded_ != nullptr) {
-    sharded_->SetTermPopularity(std::move(observed));
-  } else {
-    engine_->SetTermPopularity(std::move(observed));
-  }
+  fleet_->SetTermPopularity(std::move(observed));
   placement_refreshes_total_->Increment();
   return true;
 }
@@ -967,15 +651,15 @@ ServiceStats PhraseService::stats() const {
     stats.p99_latency_ms = latency->Quantile(0.99) / 1000.0;
     stats.p999_latency_ms = latency->Quantile(0.999) / 1000.0;
   }
-  if (sharded_ != nullptr) {
-    stats.epoch = sharded_->epoch();
-    stats.update = sharded_->update_stats();
-  } else {
-    stats.epoch = engine_->epoch();
-    stats.update = engine_->update_stats();
-  }
+  stats.epoch = fleet_->epoch();
+  stats.update = fleet_->update_stats();
   stats.result_cache = result_cache_.stats();
-  stats.word_list_cache = word_list_cache_.stats();
+  const WordListStats lists = fleet_->word_list_stats();
+  stats.word_list_cache.hits = lists.hits;
+  stats.word_list_cache.misses = lists.misses;
+  stats.word_list_cache.inserts = lists.misses;
+  stats.word_list_cache.entries = lists.entries;
+  stats.word_list_cache.bytes = lists.bytes;
   stats.pool = pool_.stats();
   return stats;
 }

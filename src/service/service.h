@@ -18,7 +18,6 @@
 #include "core/engine.h"
 #include "core/miner.h"
 #include "core/query.h"
-#include "index/word_lists.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/cache.h"
@@ -60,32 +59,12 @@ struct PhraseServiceOptions {
   std::size_t result_cache_shards = 8;
   std::size_t result_cache_bytes = 8u << 20;
   bool enable_result_cache = true;
-  /// Sharded LRU cache of per-term word lists (score-ordered and
-  /// id-ordered), so concurrent queries stop re-building lists and the
-  /// engine's global lock stays out of the NRA/SMJ hot path.
-  std::size_t word_list_cache_shards = 8;
-  std::size_t word_list_cache_bytes = 64u << 20;
-  bool enable_word_list_cache = true;
-  /// Construction fraction of the cached id-ordered (SMJ) lists
-  /// (Section 4.4.1: fixed at construction time). Unset means "inherit
-  /// the engine's smj_fraction() at service construction", which keeps
-  /// service kSmj results identical to serial engine mines regardless of
-  /// enable_word_list_cache.
-  std::optional<double> smj_fraction;
-  /// When an Ingest crosses the engine's rebuild threshold, schedule a
-  /// full MiningEngine::Rebuild on this service's thread pool (one at a
-  /// time; queries keep flowing while it runs). Disable to manage
-  /// rebuilds externally. On the sharded path only the shards that
-  /// crossed their own threshold rebuild (shard-by-shard blast radius).
+  /// When an Ingest crosses a rebuild threshold, rebuild on this service's
+  /// thread pool (one at a time; queries keep flowing while it runs):
+  /// only the shards that crossed their own threshold rebuild
+  /// (shard-by-shard blast radius); a single engine rebuilds whole.
+  /// Disable to manage rebuilds externally.
   bool enable_auto_rebuild = true;
-  /// Config switch for the sharded engine: > 0 makes a service
-  /// constructed over a monolithic MiningEngine build an internal
-  /// ShardedEngine from a copy of the engine's base corpus (inheriting
-  /// the engine's build options) and route every query through the
-  /// scatter-gather path. Costs one corpus copy plus the shard index
-  /// build at construction; services that already hold a ShardedEngine
-  /// should use the ShardedEngine* constructor instead and leave this 0.
-  std::size_t num_shards = 0;
   /// Slow-query log threshold in milliseconds: queries at or above it are
   /// appended to a bounded in-memory log (PhraseService::slow_queries),
   /// with the explain tree attached when the request was traced. 0 (the
@@ -143,18 +122,18 @@ struct ServiceReply {
   /// failure happened inside a miner.
   Status status;
   MineResult result;
-  /// Sharded path only: the ranked phrases' texts, aligned with
-  /// result.phrases. Shard-local PhraseIds are not comparable across
-  /// shards, so merged results carry texts as the phrase identity
-  /// (result.phrases[i].phrase is just i). Empty on the single-engine
-  /// path, where MiningEngine::PhraseText resolves ids as before.
+  /// The ranked phrases' texts, aligned with result.phrases, as
+  /// ShardedEngine::Mine returned them: filled by built fleets, empty on a
+  /// service over a single engine (an adopted fleet), whose ids
+  /// MiningEngine::PhraseText resolves. result.phrases[i].phrase is the
+  /// global PhraseId either way -- every shard shares one phrase set.
   std::vector<std::string> phrase_texts;
   /// How the algorithm was chosen (reason == "forced by caller" when the
   /// request pinned one).
   PlanDecision plan;
-  /// Engine epoch the result is valid for (mirrors result.epoch; the sum
-  /// of shard epochs on the sharded path, with the full composite vector
-  /// in result.shard_epochs). After an Ingest returns epoch E, every
+  /// Engine epoch the result is valid for (mirrors result.epoch: the sum
+  /// of shard epochs, with the full composite vector in
+  /// result.shard_epochs). After an Ingest returns epoch E, every
   /// subsequently submitted query replies with epoch >= E -- stale cache
   /// entries are unreachable by key.
   uint64_t epoch = 0;
@@ -179,6 +158,10 @@ struct ServiceStats {
   /// counters attribute compute, and a hit costs none.
   std::array<uint64_t, 6> per_algorithm{};
   CacheStats result_cache;
+  /// The serving engines' own word lists (ShardedEngine::word_list_stats):
+  /// hits/misses of MiningEngine::EnsureWordLists lookups, entries and
+  /// bytes of the built lists. The lists have no byte budget, so
+  /// inserts = misses and evictions/capacity stay 0.
   CacheStats word_list_cache;
   ThreadPoolStats pool;
   /// Latency percentiles over all served queries, from the registry's
@@ -189,9 +172,9 @@ struct ServiceStats {
   double p99_latency_ms = 0.0;
   double p999_latency_ms = 0.0;
   /// Cumulative simulated-disk I/O across executed queries (kNraDisk
-  /// paths only; zeros otherwise). On the sharded path these sum every
-  /// shard device's counters -- aggregate device work, the per-query
-  /// split lives in ShardedMineResult::shard_disk_io.
+  /// paths only; zeros otherwise). These sum every shard device's
+  /// counters -- aggregate device work, the per-query split lives in
+  /// ShardedMineResult::shard_disk_io.
   DiskIoStats disk_io;
   /// Live-update counters: current engine epoch, Ingest/IngestBatch calls
   /// served, background rebuilds completed, and the engine's per-epoch
@@ -211,31 +194,31 @@ struct ServiceStats {
   std::string ToString() const;
 };
 
-/// Concurrent serving front door over a MiningEngine: a bounded thread
+/// Concurrent serving front door over a ShardedEngine: a bounded thread
 /// pool executes queries, the cost planner picks the algorithm per query,
-/// and two sharded LRU caches (full results, per-term word lists) absorb
-/// repeated work. This is the layer the ROADMAP's sharding/batching/async
-/// items build on.
+/// and a sharded LRU cache of full results absorbs repeated work.
+///
+/// One serving path: every request goes through the fleet. A service
+/// built over a single MiningEngine adopts it as a one-shard fleet
+/// (ShardedEngine::Adopt) whose calls pass straight through to the
+/// engine, so its replies are bitwise the engine's own mines; only
+/// ShardedEngine knows whether one engine or a fleet serves a request.
+/// NRA and SMJ read the engines' own lazily built word lists.
 ///
 /// Queries are canonicalized (terms sorted, deduplicated) before planning
 /// and execution, so every spelling of a term set hits the same cache
 /// entry and produces byte-identical results.
 ///
-/// NRA and SMJ run against per-query list bundles assembled from the
-/// word-list cache and never mutate the engine; Exact/GM/Simitsis and the
-/// disk-simulation mode route through MiningEngine::Mine, which is
-/// internally synchronized (see the engine's threading contract).
-///
-/// Live updates: Ingest/IngestBatch apply document churn to the engine
+/// Live updates: Ingest/IngestBatch apply document churn to the engines
 /// synchronously (the delta overlay and new epoch are visible before the
 /// call returns), so no query submitted afterwards can be served from a
 /// pre-update epoch. Invalidation is by construction, not by flush:
-/// result-cache keys carry the epoch and word-list keys carry the
-/// structure generation, making stale entries unreachable while hot lists
-/// stay shared (word lists remain valid across delta epochs because the
-/// miners correct scores at read time; only a rebuild re-keys them). When
-/// an ingest crosses the rebuild threshold and enable_auto_rebuild is on,
-/// a full rebuild runs on this pool in the background.
+/// result-cache keys carry the composite epoch vector, making stale
+/// entries unreachable, while the engines' word lists stay valid across
+/// delta epochs (the miners correct scores at read time; a rebuild
+/// re-warms them). When an ingest crosses a rebuild threshold and
+/// enable_auto_rebuild is on, the flagged shards rebuild on this pool in
+/// the background.
 ///
 /// Deadlines and shedding: a request carrying deadline_ms (or an explicit
 /// CancelToken) is polled cooperatively at block granularity throughout
@@ -256,27 +239,24 @@ struct ServiceStats {
 /// contract), and on `false` the service resolves the promise itself.
 class PhraseService {
  public:
-  /// One cached service result: the merged MineResult plus (sharded path)
-  /// the phrase texts that stand in for cross-shard ids.
+  /// One cached service result: the MineResult plus the phrase texts the
+  /// fleet returned with it.
   struct CachedResult {
     MineResult result;
     std::vector<std::string> texts;
   };
 
-  /// `engine` must outlive the service. The engine may be shared with
-  /// other direct callers as long as they respect its threading contract.
-  /// With options.num_shards > 0 the service additionally builds an
-  /// internal ShardedEngine from the engine's base corpus and serves every
-  /// query through it (see PhraseServiceOptions::num_shards).
+  /// Serves a single engine through an adopted one-shard fleet
+  /// (ShardedEngine::Adopt). `engine` must outlive the service; it may be
+  /// shared with other direct callers as long as they respect its
+  /// threading contract.
   explicit PhraseService(MiningEngine* engine,
                          PhraseServiceOptions options = {});
 
   /// Serves through a caller-owned ShardedEngine (must outlive the
   /// service): queries scatter-gather across its shards, ingest routes to
-  /// owning shards, the result cache keys carry the composite epoch
-  /// vector, and auto-rebuild rebuilds only the shards that crossed their
-  /// threshold. The service word-list cache is idle on this path (each
-  /// shard engine caches its own lazily built lists).
+  /// owning shards, and auto-rebuild rebuilds only the shards that
+  /// crossed their threshold.
   explicit PhraseService(ShardedEngine* sharded,
                          PhraseServiceOptions options = {});
   ~PhraseService();
@@ -307,9 +287,9 @@ class PhraseService {
   /// Re-derives the disk tier's placement from observed traffic: reads
   /// the per-term query counters accumulated since the previous refresh
   /// (a drift-tracking window, not the lifetime cumulative), installs
-  /// them through SetTermPopularity (broadcast to every shard on the
-  /// sharded path), and bumps service_placement_refreshes_total. The
-  /// next kNraDisk mine lazily re-places its resident sets in
+  /// them through SetTermPopularity (broadcast to every shard), and bumps
+  /// service_placement_refreshes_total. The next kNraDisk mine lazily
+  /// re-places its resident sets in
   /// observed-count order; the planner's priors follow the same
   /// snapshot. A refresh with no new queries since the last one keeps
   /// the current placement (returns false, no counter bump). Safe from
@@ -321,8 +301,8 @@ class PhraseService {
 
   /// Registers a standing top-k query over the update stream (see
   /// SubscriptionManager::Subscribe for semantics and failure modes). The
-  /// manager is created lazily here, targeting the sharded fleet when one
-  /// serves this instance, with its metrics in this service's registry.
+  /// manager is created lazily here over this service's fleet, with its
+  /// metrics in this service's registry.
   Result<uint64_t> Subscribe(const SubscriptionRequest& request);
 
   /// Deregisters a subscription; NotFound for unknown ids (including any
@@ -354,7 +334,7 @@ class PhraseService {
 
   /// The service's metric registry: every counter behind stats() lives
   /// here under the names cataloged in docs/observability.md, alongside
-  /// the pool's and both caches' metrics. Export with
+  /// the pool's and the result cache's metrics. Export with
   /// Snapshot().ToPrometheusText() / ToJson().
   MetricsRegistry& metrics() { return registry_; }
   const MetricsRegistry& metrics() const { return registry_; }
@@ -374,34 +354,25 @@ class PhraseService {
   /// Snapshot of the slow-query log, oldest first.
   std::vector<SlowQueryEntry> slow_queries() const;
 
-  /// The backing single engine; on the sharded path this is shard 0,
-  /// resolved at call time through ShardedEngine::shard's contract: a
-  /// ShardedEngine::RefreshDictionary destroys and replaces the fleet,
-  /// so neither call this concurrently with one nor hold the reference
-  /// across one (use Submit/MineSync -- the refresh-safe surface -- for
-  /// anything that must overlap a refresh).
-  const MiningEngine& engine() const {
-    return sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-  }
-  /// The sharded engine serving this instance, or nullptr on the
-  /// single-engine path.
-  const ShardedEngine* sharded() const { return sharded_; }
+  /// The fleet's shard 0 -- the adopted engine itself on a single-engine
+  /// service -- resolved at call time through ShardedEngine::shard's
+  /// contract: a ShardedEngine::RefreshDictionary destroys and replaces a
+  /// built fleet, so neither call this concurrently with one nor hold the
+  /// reference across one (use Submit/MineSync -- the refresh-safe
+  /// surface -- for anything that must overlap a refresh).
+  const MiningEngine& engine() const { return fleet_->shard(0); }
+  /// The fleet serving this instance (an adopted one-shard fleet on a
+  /// single-engine service); never null.
+  const ShardedEngine* sharded() const { return fleet_; }
   const PhraseServiceOptions& options() const { return options_; }
 
  private:
-  /// Word-list cache key: structure generation + term id + list kind
-  /// (score- vs id-ordered). Lists survive delta epochs (miners correct
-  /// scores at read time) but not a rebuild, which bumps the generation
-  /// and thereby strands every old-generation entry.
-  static uint64_t ScoreListKey(TermId term, uint64_t generation) {
-    return (generation << 33) | (static_cast<uint64_t>(term) << 1);
-  }
-  static uint64_t IdListKey(TermId term, uint64_t generation) {
-    return (generation << 33) | (static_cast<uint64_t>(term) << 1) | 1;
-  }
+  /// Both public constructors land here; `adopted` owns the one-shard
+  /// fleet of the MiningEngine* form (null for a caller's fleet).
+  PhraseService(ShardedEngine* fleet, std::unique_ptr<ShardedEngine> adopted,
+                PhraseServiceOptions options);
 
   ServiceReply Execute(const ServiceRequest& request);
-  ServiceReply ExecuteSharded(const ServiceRequest& request);
   /// Admission gate consulted by Submit when admission control is enabled
   /// (max_queue_depth > 0): non-OK (ResourceExhausted) means shed -- the
   /// caller resolves the future with it without ever queueing the task.
@@ -412,27 +383,9 @@ class PhraseService {
   /// engine's own semantics.
   static Status ValidateRequest(const Query& canonical,
                                 const MineOptions& options);
-  /// `snap` is taken by value: Run refreshes it (and retries the bundle
-  /// assembly) when a background rebuild changes the structure generation
-  /// mid-request.
-  MineResult Run(const Query& canonical, Algorithm algorithm,
-                 const MineOptions& options, EpochDelta snap);
-  /// One word-list cache entry: the shared AoS run plus, for id-ordered
-  /// lists, the shared SoA kernel view built alongside it -- cached
-  /// together so per-query SMJ bundles reuse the packed view instead of
-  /// re-packing the list on every request. `soa` is null for score lists
-  /// (NRA consumes the AoS run directly).
-  struct CachedWordList {
-    SharedWordList list;
-    SharedSoAList soa;
-  };
-
-  SharedWordList GetOrBuildScoreList(TermId term, uint64_t generation);
-  CachedWordList GetOrBuildIdList(TermId term, uint64_t generation);
-  /// `shard_flags` is the per-shard rebuild recommendation vector on the
-  /// sharded path (only flagged shards rebuild); empty rebuilds the
-  /// single engine.
-  void MaybeScheduleRebuild(std::vector<uint8_t> shard_flags = {});
+  /// `shard_flags` is the per-shard rebuild recommendation vector (only
+  /// flagged shards rebuild).
+  void MaybeScheduleRebuild(std::vector<uint8_t> shard_flags);
   /// `disk_io` is the executed mine's simulated-disk charge (zeros for
   /// in-memory algorithms and cache hits); accumulated into stats().
   void RecordQuery(Algorithm algorithm, bool forced, bool executed,
@@ -441,28 +394,22 @@ class PhraseService {
   /// query term (cache hits included -- the signal is demand, not
   /// compute) and fires RefreshPlacement() when the cadence elapses.
   void CountTermQueries(const Query& canonical);
-  /// Resolves the service's registry metric handles (both constructors).
+  /// Resolves the service's registry metric handles.
   void InitMetrics();
   /// Appends to the slow-query log when the reply crossed the threshold.
   void MaybeLogSlowQuery(const Query& canonical, Algorithm algorithm,
                          const ServiceReply& reply);
 
-  MiningEngine* engine_;
+  /// The adopted one-shard fleet of a single-engine service (null when
+  /// serving a caller's fleet), and the fleet every request goes to.
+  std::unique_ptr<ShardedEngine> adopted_;
+  ShardedEngine* fleet_;
   PhraseServiceOptions options_;
-  /// Declared before the pool and caches: they are constructed with (and
+  /// Declared before the pool and cache: they are constructed with (and
   /// publish into) this registry, and metric handles must outlive them.
   MetricsRegistry registry_;
-  /// Sharded serving target: the owned reshard (num_shards switch), the
-  /// caller's ShardedEngine, or null for the single-engine path.
-  std::unique_ptr<ShardedEngine> owned_sharded_;
-  ShardedEngine* sharded_ = nullptr;
-  /// Resolved SMJ construction fraction (options_.smj_fraction or the
-  /// engine's fraction at construction).
-  double smj_fraction_;
-  CostPlanner planner_;
   ShardedLruCache<std::string, std::shared_ptr<const CachedResult>>
       result_cache_;
-  ShardedLruCache<uint64_t, CachedWordList> word_list_cache_;
 
   // Registry metric handles (stable pointers into registry_), resolved by
   // InitMetrics(). RecordQuery and the ingest/rebuild paths touch only
@@ -491,7 +438,7 @@ class PhraseService {
   Counter* fill_slots_total_ = nullptr;
   /// Query latency in microseconds (log-scale; quantiles in stats()).
   Histogram* latency_us_ = nullptr;
-  /// Per-shard disk-tier counters, indexed by shard (sharded path only).
+  /// Per-shard disk-tier counters, indexed by shard.
   std::vector<Counter*> shard_disk_blocks_;
   std::vector<Counter*> shard_disk_seeks_;
   std::vector<Counter*> shard_disk_bytes_;
@@ -523,13 +470,13 @@ class PhraseService {
 
   /// Standing-query manager, created under subscriptions_mu_ by the first
   /// Subscribe and read lock-free through the atomic pointer elsewhere.
-  /// Declared after owned_sharded_ so destruction detaches its engine
-  /// listener and joins its worker while the engines are still alive.
+  /// Declared after adopted_ so destruction detaches its fleet listener
+  /// and joins its worker while the engines are still alive.
   mutable std::mutex subscriptions_mu_;
   std::unique_ptr<SubscriptionManager> subscriptions_;
   std::atomic<SubscriptionManager*> subscriptions_ptr_{nullptr};
 
-  ThreadPool pool_;  // Last member: workers must die before the caches.
+  ThreadPool pool_;  // Last member: workers must die before the cache.
 };
 
 }  // namespace phrasemine

@@ -465,20 +465,6 @@ bool ListFill(MiningEngine& engine, const Query& query,
   });
 }
 
-/// Cost-model input cached per shard: sum_p df(p) / |D_s|.
-double AvgDocPhrases(const MiningEngine& engine) {
-  return engine.WithSharedStructures([&] {
-    uint64_t total_df = 0;
-    for (PhraseId p = 0; p < engine.dict().size(); ++p) {
-      total_df += engine.dict().df(p);
-    }
-    const std::size_t num_docs = engine.corpus().size();
-    return num_docs == 0 ? 0.0
-                         : static_cast<double>(total_df) /
-                               static_cast<double>(num_docs);
-  });
-}
-
 }  // namespace
 
 ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
@@ -486,9 +472,8 @@ ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
   // One disk-tier configuration: the fleet-level switches are merged
   // with any tier declared on the embedded engine options (set-wins, so
   // a tier configured on either surface survives), then written back to
-  // both so every consumer of options_.engine -- Build,
-  // RefreshDictionary, the service's reshard path -- sees the same
-  // per-shard tier.
+  // both so every consumer of options_.engine -- Build and
+  // RefreshDictionary -- sees the same per-shard tier.
   options.disk_backed = options.disk_backed || options.engine.disk_backed;
   if (options.disk_budget_per_shard == 0) {
     options.disk_budget_per_shard = options.engine.disk_resident_budget;
@@ -534,15 +519,13 @@ ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
   sharded.pool_ = std::make_unique<ThreadPool>(pool_options);
 
   sharded.shards_.resize(n);
-  sharded.shard_avg_doc_phrases_.resize(n);
   sharded.ParallelOverShards([&](std::size_t s) {
     MiningEngineOptions opts = shard_options;
     if (!sharded.options_.persist_path.empty()) {
       opts.persist_path = ShardFilePath(sharded.options_.persist_path, s);
     }
-    sharded.shards_[s] = std::make_unique<MiningEngine>(
+    sharded.shards_[s] = std::make_shared<MiningEngine>(
         MiningEngine::Build(std::move(parts[s]), opts));
-    sharded.shard_avg_doc_phrases_[s] = AvgDocPhrases(*sharded.shards_[s]);
   });
   sharded.rebuild_recommended_.assign(n, 0);
   if (!sharded.options_.persist_path.empty()) {
@@ -556,6 +539,21 @@ ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
           sharded.SaveManifestLocked(sharded.options_.persist_path);
     }
   }
+  return sharded;
+}
+
+ShardedEngine ShardedEngine::Adopt(MiningEngine* engine) {
+  ShardedEngine sharded;
+  sharded.options_.num_shards = 1;
+  sharded.options_.engine = engine->options();
+  sharded.options_.disk_backed = engine->options().disk_backed;
+  sharded.options_.disk_budget_per_shard =
+      engine->options().disk_resident_budget;
+  // Borrowed, never owned: the no-op deleter leaves the engine to its
+  // caller, and nothing below ever replaces it (RefreshDictionary refuses).
+  sharded.shards_.push_back(
+      std::shared_ptr<MiningEngine>(engine, [](MiningEngine*) {}));
+  sharded.adopted_ = engine;
   return sharded;
 }
 
@@ -589,13 +587,17 @@ Status ShardedEngine::SaveManifestLocked(const std::string& prefix) const {
 }
 
 Status ShardedEngine::SaveToFiles(const std::string& prefix) const {
+  if (adopted_ != nullptr) {
+    return Status::FailedPrecondition(
+        "adopted fleet: persist the engine with MiningEngine::SaveToFile");
+  }
   std::scoped_lock update_lock(*update_mu_);
   std::shared_lock fleet_lock(*shards_mu_);
   // Engine files carry base structures only, so a family written with
   // deltas pending would disagree with the manifest's document roster
   // (ingested documents have no bytes anywhere). Refuse rather than
   // persist a fleet that cannot be reopened faithfully.
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     if (shard->update_stats().pending_updates != 0) {
       return Status::FailedPrecondition(
           "fleet has pending deltas; call Rebuild() before SaveToFiles");
@@ -680,7 +682,6 @@ Result<ShardedEngine> ShardedEngine::LoadFromFiles(const std::string& prefix,
   sharded.pool_ = std::make_unique<ThreadPool>(pool_options);
 
   sharded.shards_.resize(n);
-  sharded.shard_avg_doc_phrases_.resize(n);
   std::vector<Status> shard_status(n);
   sharded.ParallelOverShards([&](std::size_t s) {
     MiningEngineOptions opts = sharded.options_.engine;
@@ -692,8 +693,7 @@ Result<ShardedEngine> ShardedEngine::LoadFromFiles(const std::string& prefix,
       return;
     }
     sharded.shards_[s] =
-        std::make_unique<MiningEngine>(std::move(loaded.value()));
-    sharded.shard_avg_doc_phrases_[s] = AvgDocPhrases(*sharded.shards_[s]);
+        std::make_shared<MiningEngine>(std::move(loaded.value()));
   });
   for (const Status& st : shard_status) {
     if (!st.ok()) return st;
@@ -755,15 +755,18 @@ std::string ShardedEngine::PhraseText(PhraseId id) const {
   return shards_[0]->PhraseText(id);
 }
 
+double ShardedEngine::smj_fraction() const {
+  return adopted_ != nullptr ? adopted_->smj_fraction() : 1.0;
+}
+
 std::vector<PlannerInputs> ShardedEngine::GatherPlannerInputs(
     const Query& query, const MineOptions& options) const {
   std::shared_lock fleet_lock(*shards_mu_);
   std::vector<PlannerInputs> out;
   out.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    out.push_back(CostPlanner::GatherInputs(
-        *shards_[s], query, options, shards_[s]->delta_snapshot(),
-        shard_avg_doc_phrases_[s]));
+  for (const auto& shard : shards_) {
+    out.push_back(CostPlanner::GatherInputs(*shard, query, options,
+                                            shard->delta_snapshot()));
   }
   return out;
 }
@@ -772,6 +775,14 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
                                       const MineOptions& options) {
   PM_CHECK_MSG(options.delta == nullptr,
                "ShardedEngine applies per-shard overlays internally");
+  if (adopted_ != nullptr) {
+    ShardedMineResult out;
+    out.result = adopted_->Mine(query, algorithm, options);
+    out.result.shard_epochs = {out.result.epoch};
+    out.shard_disk_io = {out.result.disk_io};
+    out.exact_merge = true;  // it is the engine's own mine
+    return out;
+  }
   StopWatch watch;
   std::shared_lock fleet_lock(*shards_mu_);
   const std::size_t n = shards_.size();
@@ -1276,6 +1287,14 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
 }
 
 ShardedUpdateStats ShardedEngine::ApplyUpdate(const UpdateBatch& batch) {
+  if (adopted_ != nullptr) {
+    ShardedUpdateStats out;
+    out.total = adopted_->ApplyUpdate(batch);
+    out.epochs = {out.total.epoch};
+    out.rebuild_recommended = {out.total.rebuild_recommended ? uint8_t{1}
+                                                             : uint8_t{0}};
+    return out;
+  }
   std::scoped_lock lock(*update_mu_);
   const std::size_t n = shards_.size();
 
@@ -1292,9 +1311,7 @@ ShardedUpdateStats ShardedEngine::ApplyUpdate(const UpdateBatch& batch) {
       batch_terms.insert(batch_terms.end(), doc.facets.begin(),
                          doc.facets.end());
     }
-    for (const std::unique_ptr<MiningEngine>& shard : shards_) {
-      shard->InternTerms(batch_terms);
-    }
+    for (const auto& shard : shards_) shard->InternTerms(batch_terms);
   }
 
   // Route inserts to their owning shard and translate global delete ids
@@ -1367,6 +1384,23 @@ ShardedUpdateStats ShardedEngine::ApplyUpdate(const UpdateBatch& batch) {
 }
 
 void ShardedEngine::SetUpdateListener(ShardedUpdateListener listener) {
+  if (adopted_ != nullptr) {
+    if (listener == nullptr) {
+      adopted_->SetUpdateListener(nullptr);
+      return;
+    }
+    adopted_->SetUpdateListener(
+        [listener = std::move(listener)](const UpdateEvent& ev) {
+          ShardedUpdateEvent wrapped;
+          wrapped.epoch = ev.epoch;
+          wrapped.shards = {ShardUpdateEvent{ev.epoch, ev.generation,
+                                             ev.structure_version, ev.delta}};
+          wrapped.touched = ev.touched;
+          wrapped.rebuilt = ev.rebuilt;
+          listener(wrapped);
+        });
+    return;
+  }
   std::scoped_lock lock(*update_mu_);
   update_listener_ = std::move(listener);
 }
@@ -1393,6 +1427,10 @@ void ShardedEngine::Rebuild() {
 }
 
 void ShardedEngine::RebuildShard(std::size_t shard) {
+  if (adopted_ != nullptr) {
+    adopted_->Rebuild();  // fires the wrapped rebuilt event itself
+    return;
+  }
   std::scoped_lock lock(*update_mu_);
   RebuildShardLocked(shard);
   NotifyRebuiltLocked();
@@ -1400,7 +1438,6 @@ void ShardedEngine::RebuildShard(std::size_t shard) {
 
 void ShardedEngine::RebuildShardLocked(std::size_t shard) {
   shards_[shard]->Rebuild();
-  shard_avg_doc_phrases_[shard] = AvgDocPhrases(*shards_[shard]);
   rebuild_recommended_[shard] = 0;
   // The shard compacted its numbering to the live documents in order;
   // mirror that in the global->local mapping.
@@ -1423,7 +1460,11 @@ void ShardedEngine::RebuildShardLocked(std::size_t shard) {
   }
 }
 
-void ShardedEngine::RefreshDictionary() {
+Status ShardedEngine::RefreshDictionary() {
+  if (adopted_ != nullptr) {
+    return Status::FailedPrecondition(
+        "RefreshDictionary would destroy the adopted engine");
+  }
   // Ingest stalls for the whole refresh; queries keep running against the
   // old fleet until the final swap.
   std::scoped_lock update_lock(*update_mu_);
@@ -1454,24 +1495,21 @@ void ShardedEngine::RefreshDictionary() {
   //    can never resurrect a pre-refresh entry.
   MiningEngineOptions shard_options = options_.engine;
   shard_options.fixed_phrase_set = fresh_set;
-  std::vector<std::unique_ptr<MiningEngine>> fresh(n);
-  std::vector<double> fresh_avg(n, 0.0);
+  std::vector<std::shared_ptr<MiningEngine>> fresh(n);
   ParallelOverShards([&](std::size_t s) {
     MiningEngineOptions opts = shard_options;
     if (!options_.persist_path.empty()) {
       opts.persist_path = ShardFilePath(options_.persist_path, s);
     }
-    fresh[s] = std::make_unique<MiningEngine>(
+    fresh[s] = std::make_shared<MiningEngine>(
         MiningEngine::Build(std::move(parts[s]), opts));
     fresh[s]->AdvanceEpoch(shards_[s]->epoch() + 1);
-    fresh_avg[s] = AvgDocPhrases(*fresh[s]);
   });
 
   // 4. Swap the fleet atomically; in-flight mines finish on the old one.
   {
     std::unique_lock fleet_lock(*shards_mu_);
     shards_ = std::move(fresh);
-    shard_avg_doc_phrases_ = std::move(fresh_avg);
     global_set_ = std::move(fresh_set);
   }
   std::fill(rebuild_recommended_.begin(), rebuild_recommended_.end(), 0);
@@ -1487,12 +1525,13 @@ void ShardedEngine::RefreshDictionary() {
     }
   }
   NotifyRebuiltLocked();
+  return Status::OK();
 }
 
 void ShardedEngine::SetDiskBudgetPerShard(uint64_t budget_bytes) {
   options_.disk_budget_per_shard = budget_bytes;
   options_.engine.disk_resident_budget = budget_bytes;
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     shard->SetDiskResidentBudget(budget_bytes);
   }
 }
@@ -1506,7 +1545,7 @@ void ShardedEngine::SetTermPopularity(
   // the shard's structure lock, and only RefreshDictionary (exclusive)
   // may swap the fleet.
   std::shared_lock fleet_lock(*shards_mu_);
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     shard->SetTermPopularity(observed);
   }
 }
@@ -1515,7 +1554,7 @@ std::vector<uint64_t> ShardedEngine::epochs() const {
   std::shared_lock fleet_lock(*shards_mu_);
   std::vector<uint64_t> out;
   out.reserve(shards_.size());
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     out.push_back(shard->epoch());
   }
   return out;
@@ -1524,17 +1563,18 @@ std::vector<uint64_t> ShardedEngine::epochs() const {
 uint64_t ShardedEngine::epoch() const {
   std::shared_lock fleet_lock(*shards_mu_);
   uint64_t total = 0;
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     total += shard->epoch();
   }
   return total;
 }
 
 UpdateStats ShardedEngine::update_stats() const {
+  if (adopted_ != nullptr) return adopted_->update_stats();
   std::scoped_lock lock(*update_mu_);
   std::shared_lock fleet_lock(*shards_mu_);
   UpdateStats out;
-  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+  for (const auto& shard : shards_) {
     const UpdateStats stats = shard->update_stats();
     out.pending_updates += stats.pending_updates;
     out.epoch += shard->epoch();
@@ -1546,6 +1586,19 @@ UpdateStats ShardedEngine::update_stats() const {
           ? (out.pending_updates > 0 ? 1.0 : 0.0)
           : static_cast<double>(out.pending_updates) /
                 static_cast<double>(out.live_docs);
+  return out;
+}
+
+WordListStats ShardedEngine::word_list_stats() const {
+  std::shared_lock fleet_lock(*shards_mu_);
+  WordListStats out;
+  for (const auto& shard : shards_) {
+    const WordListStats stats = shard->word_list_stats();
+    out.hits += stats.hits;
+    out.misses += stats.misses;
+    out.entries += stats.entries;
+    out.bytes += stats.bytes;
+  }
   return out;
 }
 

@@ -79,8 +79,8 @@ struct ShardedEngineOptions {
   /// LoadFromFiles reopens the whole fleet from the mapped files. Any
   /// persist_path set on the embedded `engine` options is cleared at Build
   /// -- per-shard paths always derive from this prefix, so N shards can
-  /// never race on one file (the service reshard path inherits engine
-  /// options from a monolith, where that field addresses a single file).
+  /// never race on one file (a fleet built with a monolith's engine
+  /// options inherits that field, which addresses a single file).
   std::string persist_path;
   /// Test seam: maps a global document id to its owning shard (second
   /// argument is num_shards). Defaults to a SplitMix64 hash of the id.
@@ -153,9 +153,14 @@ struct ShardedUpdateStats {
 /// composite epoch vector filled) plus the ranked phrases' texts.
 /// result.phrases[i].phrase is the *global* PhraseId -- every shard
 /// shares one phrase set, so ids are portable and equal to the ids a
-/// monolithic engine built from the same corpus would assign.
+/// monolithic engine built from the same corpus would assign. An adopted
+/// fleet (ShardedEngine::Adopt) returns its engine's own MineResult
+/// unchanged, with the one-entry epoch vector filled and `texts` empty:
+/// resolve its ids through PhraseText.
 struct ShardedMineResult {
   MineResult result;
+  /// Built fleets: the ranked phrases' texts, aligned with
+  /// result.phrases. Empty on an adopted fleet.
   std::vector<std::string> texts;
   /// Size of the merged candidate union before the top-k cut.
   std::size_t candidates = 0;
@@ -240,6 +245,18 @@ struct ShardedMineResult {
 /// enter via RefreshDictionary, the heavyweight tier that re-extracts
 /// the global set over all live documents and swaps every shard at once.
 ///
+/// Adopted fleets: ShardedEngine::Adopt wraps a caller-owned
+/// MiningEngine as a one-shard fleet without copying its corpus or
+/// building a second index. Mine, ApplyUpdate, Rebuild/RebuildShard,
+/// epochs, update_stats, SetTermPopularity, ParseQuery and PhraseText
+/// pass straight through to that engine, so every result is bitwise the
+/// engine's own on all six algorithms (top-k' paths included) and delete
+/// ids keep the engine's live numbering. The passthrough is keyed on
+/// adoption, not on the shard count: a Build-made one-shard fleet still
+/// runs the full scatter-gather (benchmarks use it as the merge-overhead
+/// baseline). This is how PhraseService and SubscriptionManager serve a
+/// single engine through the one fleet interface.
+///
 /// Thread-safety: Mine/ParseQuery/PhraseText/epochs/epoch/update_stats
 /// may run concurrently from any threads; ApplyUpdate, Rebuild,
 /// RebuildShard and RefreshDictionary serialize on an internal update
@@ -256,6 +273,12 @@ class ShardedEngine {
   /// full copy of the source vocabulary so term ids stay global.
   static ShardedEngine Build(Corpus corpus, Options options = {});
 
+  /// A one-shard fleet over `engine`, which the caller keeps owning and
+  /// which must outlive the fleet (see the class comment). The engine may
+  /// still be used directly: its own ApplyUpdate/Rebuild calls reach the
+  /// fleet's update listener too.
+  static ShardedEngine Adopt(MiningEngine* engine);
+
   /// Reopens a fleet persisted under `prefix` (see Options::persist_path):
   /// the manifest restores the global phrase set and the global->shard
   /// document mapping, and every shard engine is reconstructed from its
@@ -271,7 +294,8 @@ class ShardedEngine {
   /// Writes the whole family under `prefix` now: every shard's engine file
   /// plus the fleet manifest. Serializes with updates and rebuilds. Base
   /// structures only -- per-shard pending deltas are not persisted (call
-  /// Rebuild() first for a checkpoint that includes them).
+  /// Rebuild() first for a checkpoint that includes them). Refused on an
+  /// adopted fleet (persist the engine itself: MiningEngine::SaveToFile).
   Status SaveToFiles(const std::string& prefix) const;
 
   /// Outcome of the last automatic persist (Build and the rebuild tiers
@@ -302,6 +326,11 @@ class ShardedEngine {
   /// shards share the phrase set, so any would do).
   std::string PhraseText(PhraseId id) const;
 
+  /// Construction fraction of the id-ordered lists kSmj mines run on:
+  /// 1.0 on a built fleet (sharded SMJ always merges full lists), the
+  /// engine's own smj_fraction() on an adopted one.
+  double smj_fraction() const;
+
   /// Per-shard cost-model inputs for one query, gathered under the fleet
   /// lock so a dictionary refresh cannot swap the engines away mid-read
   /// (callers must never cache per-shard planners across a refresh).
@@ -320,7 +349,10 @@ class ShardedEngine {
   /// Installs (or, with null, clears) the fleet-level post-batch update
   /// listener; see ShardedUpdateEvent for the delivery contract.
   /// Serializes against in-flight ApplyUpdate and the rebuild tiers: once
-  /// SetUpdateListener(nullptr) returns, no further callback will run.
+  /// SetUpdateListener(nullptr) returns, no further callback will run. On
+  /// an adopted fleet the listener is installed on the engine, wrapping
+  /// each UpdateEvent as a one-entry ShardedUpdateEvent, so direct
+  /// engine.ApplyUpdate/engine.Rebuild calls fire it too.
   void SetUpdateListener(ShardedUpdateListener listener);
 
   /// Rebuilds every shard, one at a time; ingest may interleave between
@@ -340,8 +372,9 @@ class ShardedEngine {
   /// rebuild", fleet-wide). Ingest stalls for the duration; queries keep
   /// being served from the old fleet until the swap. Global PhraseIds are
   /// reassigned; per-shard epochs continue monotonically so epoch-keyed
-  /// caches can never resurrect a pre-refresh result.
-  void RefreshDictionary();
+  /// caches can never resurrect a pre-refresh result. FailedPrecondition
+  /// on an adopted fleet: the swap would destroy the borrowed engine.
+  Status RefreshDictionary();
 
   /// Per-shard epoch vector, in shard order.
   std::vector<uint64_t> epochs() const;
@@ -351,6 +384,9 @@ class ShardedEngine {
 
   /// Summed per-shard accounting as of the last update.
   UpdateStats update_stats() const;
+
+  /// Summed per-shard word-list accounting (MiningEngine::word_list_stats).
+  WordListStats word_list_stats() const;
 
   // --- Component access (planner, benchmarks, tests) ------------------------
 
@@ -374,11 +410,13 @@ class ShardedEngine {
   }
 
   /// The frozen global phrase set shared by all shards (per-shard df
-  /// lives in each shard's own dictionary clone).
+  /// lives in each shard's own dictionary clone). Built fleets only: an
+  /// adopted fleet's phrase set is its engine's dict().
   const PhraseDictionary& phrase_set() const { return *global_set_; }
 
   /// Documents across all shards at build time plus ingested ones (dead
-  /// ids included; global numbering never compacts).
+  /// ids included; global numbering never compacts). 0 on an adopted
+  /// fleet, whose engine keeps its own numbering.
   std::size_t num_docs() const;
 
   const Options& options() const { return options_; }
@@ -436,10 +474,11 @@ class ShardedEngine {
   Options options_;
   Status persist_status_;
   std::shared_ptr<const PhraseDictionary> global_set_;
-  std::vector<std::unique_ptr<MiningEngine>> shards_;
-  /// Cached sum_p df(p) / |D_s| per shard for the cost model; refreshed
-  /// whenever a shard's indexes rebuild.
-  std::vector<double> shard_avg_doc_phrases_;
+  /// Shard engines; an adopted fleet's single entry borrows the caller's
+  /// engine (no-op deleter).
+  std::vector<std::shared_ptr<MiningEngine>> shards_;
+  /// The caller-owned engine every call passes through to (Adopt only).
+  MiningEngine* adopted_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
   /// Fleet lock: shared by everything that dereferences shards_,
   /// exclusive only for RefreshDictionary's swap.

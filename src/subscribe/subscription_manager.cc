@@ -70,7 +70,7 @@ struct SubscriptionManager::Sub {
   bool bound_none = true;
   double bound_score = 0.0;
   PhraseId bound_phrase = 0;
-  /// Per-shard epochs at which `shadow` is exact ({epoch} on a monolith).
+  /// Per-shard epochs at which `shadow` is exact (one entry per shard).
   std::vector<uint64_t> state_vec;
 
   // --- Published state + notifications (guarded by subs_mu_) ---
@@ -130,16 +130,20 @@ std::vector<TopKChange> DiffTopK(const std::vector<MinedPhrase>& old_topk,
 }  // namespace
 
 SubscriptionManager::SubscriptionManager(MiningEngine* engine, Options options)
-    : options_(options), mono_(engine) {
-  Attach();
-}
+    : SubscriptionManager(
+          nullptr,
+          std::make_unique<ShardedEngine>(ShardedEngine::Adopt(engine)),
+          options) {}
 
 SubscriptionManager::SubscriptionManager(ShardedEngine* engine, Options options)
-    : options_(options), sharded_(engine) {
-  Attach();
-}
+    : SubscriptionManager(engine, nullptr, options) {}
 
-void SubscriptionManager::Attach() {
+SubscriptionManager::SubscriptionManager(
+    ShardedEngine* fleet, std::unique_ptr<ShardedEngine> adopted,
+    Options options)
+    : options_(options),
+      adopted_(std::move(adopted)),
+      fleet_(adopted_ != nullptr ? adopted_.get() : fleet) {
   options_.queue_capacity = std::max<std::size_t>(options_.queue_capacity, 1);
   options_.event_capacity = std::max<std::size_t>(options_.event_capacity, 1);
   options_.shadow_pad = std::max<std::size_t>(options_.shadow_pad, 1);
@@ -156,31 +160,18 @@ void SubscriptionManager::Attach() {
   touched_total_ = reg.GetCounter("subscribe_touched_phrases_total");
 
   worker_ = std::thread([this] { WorkerLoop(); });
-  if (sharded_ != nullptr) {
-    sharded_->SetUpdateListener([this](const ShardedUpdateEvent& ev) {
-      Msg msg;
-      msg.kind = Msg::Kind::kShardedEvent;
-      msg.sharded = ev;
-      EnqueueEvent(std::move(msg));
-    });
-  } else {
-    mono_->SetUpdateListener([this](const UpdateEvent& ev) {
-      Msg msg;
-      msg.kind = Msg::Kind::kMonoEvent;
-      msg.mono = ev;
-      EnqueueEvent(std::move(msg));
-    });
-  }
+  fleet_->SetUpdateListener([this](const ShardedUpdateEvent& ev) {
+    Msg msg;
+    msg.kind = Msg::Kind::kEvent;
+    msg.event = ev;
+    EnqueueEvent(std::move(msg));
+  });
 }
 
 SubscriptionManager::~SubscriptionManager() {
   // Detach first: after SetUpdateListener(nullptr) returns no further
   // callback can run, so the queue below is final.
-  if (sharded_ != nullptr) {
-    sharded_->SetUpdateListener(nullptr);
-  } else {
-    mono_->SetUpdateListener(nullptr);
-  }
+  fleet_->SetUpdateListener(nullptr);
   {
     std::scoped_lock lock(queue_mu_);
     shutdown_ = true;
@@ -254,22 +245,14 @@ void SubscriptionManager::Handle(Msg& msg, bool events_lost) {
 
 void SubscriptionManager::ProcessDataEvent(Msg& msg, bool events_lost) {
   batches_total_->Increment();
-  const bool rebuilt = msg.kind == Msg::Kind::kShardedEvent
-                           ? msg.sharded.rebuilt
-                           : msg.mono.rebuilt;
-  const std::vector<PhraseId>& touched = msg.kind == Msg::Kind::kShardedEvent
-                                             ? msg.sharded.touched
-                                             : msg.mono.touched;
+  const bool rebuilt = msg.event.rebuilt;
+  const std::vector<PhraseId>& touched = msg.event.touched;
   touched_total_->Add(touched.size());
 
   std::vector<uint64_t> event_vec;
-  if (msg.kind == Msg::Kind::kShardedEvent) {
-    event_vec.reserve(msg.sharded.shards.size());
-    for (const ShardUpdateEvent& s : msg.sharded.shards) {
-      event_vec.push_back(s.epoch);
-    }
-  } else {
-    event_vec.push_back(msg.mono.epoch);
+  event_vec.reserve(msg.event.shards.size());
+  for (const ShardUpdateEvent& s : msg.event.shards) {
+    event_vec.push_back(s.epoch);
   }
 
   std::shared_ptr<TraceSpan> trace;
@@ -356,9 +339,7 @@ void SubscriptionManager::ProcessDataEvent(Msg& msg, bool events_lost) {
 
 bool SubscriptionManager::IncrementalStep(
     Sub& sub, const Msg& msg, const std::vector<uint64_t>& event_vec) {
-  const std::vector<PhraseId>& touched = msg.kind == Msg::Kind::kShardedEvent
-                                             ? msg.sharded.touched
-                                             : msg.mono.touched;
+  const std::vector<PhraseId>& touched = msg.event.touched;
   bool ok = true;
   const std::vector<Rescored> rescored = RescoreTouched(sub, msg, touched, &ok);
   if (!ok) return false;  // structures moved past the event: re-mine
@@ -454,55 +435,21 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
   std::vector<double> probs(nt, 0.0);
   const QueryOperator op = sub.request.op;
 
-  if (msg.kind == Msg::Kind::kMonoEvent) {
-    if (!EnsureBaseLists(0, terms, msg.mono.structure_version)) {
-      *ok = false;
-      return out;
-    }
-    const DeltaIndex* delta = msg.mono.delta.get();
-    for (std::size_t i = 0; i < np; ++i) {
-      const PhraseId p = touched[i];
-      for (std::size_t j = 0; j < nt; ++j) {
-        const double base = BaseProb(0, terms[j], p);
-        probs[j] = delta != nullptr ? delta->AdjustedProb(terms[j], p, base)
-                                    : std::clamp(base, 0.0, 1.0);
-      }
-      bool qualifies = true;
-      if (op == QueryOperator::kAnd) {
-        for (double prob : probs) {
-          if (!(prob > 0.0)) {
-            qualifies = false;
-            break;
-          }
-        }
-      }
-      if (!qualifies) continue;
-      const double score = op == QueryOperator::kAnd
-                               ? AndScore(probs)
-                               : OrScore(probs, sub.request.or_order);
-      if (op == QueryOperator::kAnd ? score == kMinusInfinity
-                                    : !(score > 0.0)) {
-        continue;
-      }
-      out[i] = Rescored{true, score, ScoreToInterestingness(score, op)};
-    }
-    return out;
-  }
-
-  // Sharded: global score = f(summed per-shard integer supports), the
-  // gather's exact arithmetic (AdjustedShardDf/AdjustedShardCodf are the
-  // very helpers its fill rounds use). One locked pass per shard covers
-  // every touched phrase.
-  const std::size_t num_shards = msg.sharded.shards.size();
+  // Global score = f(summed per-shard integer supports), the gather's
+  // exact arithmetic (AdjustedShardDf/AdjustedShardCodf are the very
+  // helpers its fill rounds use); on one shard the recovered counts
+  // reproduce DeltaIndex::AdjustedProb bitwise. One locked pass per shard
+  // covers every touched phrase.
+  const std::size_t num_shards = msg.event.shards.size();
   std::vector<uint64_t> df(np, 0);
   std::vector<uint64_t> codf(np * nt, 0);
   for (std::size_t s = 0; s < num_shards && *ok; ++s) {
-    const ShardUpdateEvent& se = msg.sharded.shards[s];
+    const ShardUpdateEvent& se = msg.event.shards[s];
     if (!EnsureBaseLists(s, terms, se.structure_version)) {
       *ok = false;
       break;
     }
-    sharded_->WithShard(s, [&](MiningEngine& engine) {
+    fleet_->WithShard(s, [&](MiningEngine& engine) {
       engine.WithSharedStructures([&] {
         if (engine.structure_version() != se.structure_version) {
           *ok = false;
@@ -590,11 +537,7 @@ bool SubscriptionManager::EnsureBaseLists(std::size_t shard,
       }
     });
   };
-  if (sharded_ != nullptr) {
-    sharded_->WithShard(shard, read);
-  } else {
-    read(*mono_);
-  }
+  fleet_->WithShard(shard, read);
   if (!ok) return false;
 
   for (std::size_t i = 0; i < missing.size(); ++i) {
@@ -618,16 +561,7 @@ void SubscriptionManager::Remine(Sub& sub, const CancelToken* cancel,
   mo.k = sub.k_shadow;
   mo.or_order = sub.request.or_order;
   mo.cancel = cancel;
-  MineResult result;
-  std::vector<uint64_t> vec;
-  if (sharded_ != nullptr) {
-    ShardedMineResult sr = sharded_->Mine(sub.query, Algorithm::kSmj, mo);
-    result = std::move(sr.result);
-    vec = result.shard_epochs;
-  } else {
-    result = mono_->Mine(sub.query, Algorithm::kSmj, mo);
-    vec = {result.epoch};
-  }
+  MineResult result = fleet_->Mine(sub.query, Algorithm::kSmj, mo).result;
   if (!result.status.ok()) {
     // Cancelled or failed mid-run: partial rankings must never be
     // installed. Stay dirty; the next event retries.
@@ -644,7 +578,7 @@ void SubscriptionManager::Remine(Sub& sub, const CancelToken* cancel,
     sub.bound_score = sub.shadow.back().score;
     sub.bound_phrase = sub.shadow.back().phrase;
   }
-  sub.state_vec = std::move(vec);
+  sub.state_vec = std::move(result.shard_epochs);
   sub.dirty = false;
   sub.bootstrapped = true;
   Publish(sub, /*exact=*/true, bootstrap);
@@ -707,9 +641,7 @@ Result<uint64_t> SubscriptionManager::Subscribe(
   // Full id-ordered lists are what makes both the incremental rescore and
   // the re-mine fallback exact; truncated lists would make them silently
   // approximate, so refuse instead.
-  const double fraction =
-      sharded_ != nullptr ? 1.0 : mono_->smj_fraction();
-  if (fraction < 1.0) {
+  if (fleet_->smj_fraction() < 1.0) {
     return Status::FailedPrecondition(
         "subscriptions need full SMJ lists (smj_fraction >= 1)");
   }
@@ -723,9 +655,7 @@ Result<uint64_t> SubscriptionManager::Subscribe(
     if (!text.empty()) text += ' ';
     text += t;
   }
-  Result<Query> query = sharded_ != nullptr
-                            ? sharded_->ParseQuery(text, request.op)
-                            : mono_->ParseQuery(text, request.op);
+  Result<Query> query = fleet_->ParseQuery(text, request.op);
   if (!query.ok()) return query.status();
 
   auto sub = std::make_shared<Sub>();

@@ -135,10 +135,11 @@ struct SubscriptionManagerOptions {
 /// ApplyUpdate batch is turned into the subscription's top-k *delta*
 /// incrementally from the batch's co-deltas instead of re-mining:
 ///
-///  * The manager installs the engine's update listener
-///    (MiningEngine::SetUpdateListener / ShardedEngine::SetUpdateListener)
-///    and only enqueues the immutable UpdateEvent -- the ingest thread is
-///    never blocked by subscription work, slow subscribers included.
+///  * The manager installs the fleet's update listener
+///    (ShardedEngine::SetUpdateListener; a single engine is served as an
+///    adopted one-shard fleet, whose listener wraps the engine's own) and
+///    only enqueues the immutable ShardedUpdateEvent -- the ingest thread
+///    is never blocked by subscription work, slow subscribers included.
 ///  * A single worker thread drains events in epoch order. Per
 ///    subscription it maintains a shadow set S: the top (k + shadow_pad)
 ///    qualifying phrases with *exact* scores, plus a rank bound B -- the
@@ -148,9 +149,9 @@ struct SubscriptionManagerOptions {
 ///  * Per batch, exactly the event's touched phrases (the phrases whose
 ///    df/co-deltas the batch moved -- the complete "can have changed"
 ///    set) are rescored with the engine's own delta-adjustment arithmetic
-///    (DeltaIndex::AdjustedProb on a monolith; summed per-shard
-///    AdjustedShardDf/AdjustedShardCodf supports on a fleet) and merged
-///    into S. The first k of S equal a fresh re-mine's top-k whenever
+///    (summed per-shard AdjustedShardDf/AdjustedShardCodf integer
+///    supports -- on one shard, bitwise DeltaIndex::AdjustedProb) and
+///    merged into S. The first k of S equal a fresh re-mine's top-k whenever
 ///    S[k-1] ranks at or above B (no outside phrase can rank above the
 ///    k-th published entry) -- the proof sketch is in
 ///    docs/subscriptions.md.
@@ -161,9 +162,10 @@ struct SubscriptionManagerOptions {
 ///    approximate.
 ///
 /// Exactness requires full SMJ lists: Subscribe fails with
-/// FailedPrecondition when the engine's id-ordered lists are truncated
-/// (smj_fraction < 1). Rebuild / RefreshDictionary events invalidate all
-/// derived state (PhraseIds may be reassigned) and trigger re-mines.
+/// FailedPrecondition when the fleet's id-ordered lists are truncated
+/// (ShardedEngine::smj_fraction() < 1, possible on an adopted engine).
+/// Rebuild / RefreshDictionary events invalidate all derived state
+/// (PhraseIds may be reassigned) and trigger re-mines.
 ///
 /// Threading: Subscribe/Unsubscribe/Poll/Snapshot/Flush are safe from any
 /// thread, concurrently with engine ingest, mines and rebuilds. The
@@ -173,13 +175,15 @@ class SubscriptionManager {
  public:
   using Options = SubscriptionManagerOptions;
 
-  /// Attaches to a monolithic engine (installs its update listener and
-  /// starts the worker). The engine must outlive the manager and must not
-  /// have another update listener.
+  /// Attaches to a single engine through an adopted one-shard fleet
+  /// (ShardedEngine::Adopt). The engine must outlive the manager and must
+  /// not have another update listener; its direct ApplyUpdate/Rebuild
+  /// calls reach the manager too.
   explicit SubscriptionManager(MiningEngine* engine, Options options = {});
 
-  /// Attaches to a sharded fleet; per-shard deltas arrive pre-merged
-  /// under the global PhraseId space (ShardedUpdateEvent).
+  /// Attaches to a fleet (installs its update listener and starts the
+  /// worker); per-shard deltas arrive pre-merged under the global PhraseId
+  /// space (ShardedUpdateEvent). The fleet must outlive the manager.
   explicit SubscriptionManager(ShardedEngine* engine, Options options = {});
 
   ~SubscriptionManager();
@@ -231,15 +235,14 @@ class SubscriptionManager {
     return a < b;
   }
 
-  /// One queued message: an engine update event or a control command.
+  /// One queued message: a fleet update event or a control command.
   /// Control commands (bootstrap, i.e. "mine the initial state of
   /// subscription `subscription`") are never dropped; data events are
   /// subject to Options::event_capacity.
   struct Msg {
-    enum class Kind { kMonoEvent, kShardedEvent, kBootstrap };
+    enum class Kind { kEvent, kBootstrap };
     Kind kind = Kind::kBootstrap;
-    UpdateEvent mono;
-    ShardedUpdateEvent sharded;
+    ShardedUpdateEvent event;
     uint64_t subscription = 0;
   };
 
@@ -259,7 +262,11 @@ class SubscriptionManager {
     double interestingness = 0.0;
   };
 
-  void Attach();
+  /// Both public constructors land here; `adopted` owns the one-shard
+  /// fleet of the MiningEngine* form (null for a caller's fleet).
+  SubscriptionManager(ShardedEngine* fleet,
+                      std::unique_ptr<ShardedEngine> adopted, Options options);
+
   void EnqueueEvent(Msg msg);
   void WorkerLoop();
   void Handle(Msg& msg, bool events_lost);
@@ -288,8 +295,8 @@ class SubscriptionManager {
   void Publish(Sub& sub, bool exact, bool initial);
 
   Options options_;
-  MiningEngine* mono_ = nullptr;
-  ShardedEngine* sharded_ = nullptr;
+  std::unique_ptr<ShardedEngine> adopted_;
+  ShardedEngine* fleet_;
 
   // Cached metric handles (stable pointers; see MetricsRegistry).
   Gauge* subscriptions_gauge_ = nullptr;

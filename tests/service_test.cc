@@ -3,6 +3,8 @@
 // repeats, counters add up, and shutdown degrades gracefully.
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -363,6 +365,128 @@ TEST(ServiceTest, ConcurrentEngineMineIsSafe) {
                         "thread " + std::to_string(t));
     }
   }
+}
+
+/// The adopted fleet's reply must be the engine's own mine: same ids,
+/// same score bits, same epoch and guarantee -- and no texts (a single
+/// engine's ids resolve through MiningEngine::PhraseText).
+void ExpectEngineMine(const MineResult& want, const ServiceReply& reply,
+                      const std::string& label) {
+  ASSERT_TRUE(reply.status.ok()) << label << ": " << reply.status.ToString();
+  ASSERT_EQ(want.phrases.size(), reply.result.phrases.size()) << label;
+  for (std::size_t i = 0; i < want.phrases.size(); ++i) {
+    EXPECT_EQ(want.phrases[i].phrase, reply.result.phrases[i].phrase)
+        << label << " rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.phrases[i].score),
+              std::bit_cast<uint64_t>(reply.result.phrases[i].score))
+        << label << " rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.phrases[i].interestingness),
+              std::bit_cast<uint64_t>(reply.result.phrases[i].interestingness))
+        << label << " rank " << i;
+  }
+  EXPECT_EQ(reply.epoch, want.epoch) << label;
+  EXPECT_EQ(reply.result.guarantee, want.guarantee) << label;
+  EXPECT_TRUE(reply.phrase_texts.empty()) << label;
+}
+
+TEST(ServiceTest, AdoptedFleetRepliesAreTheEnginesOwnMines) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  const std::vector<Query> workload = MakeWorkload(engine);
+  ASSERT_GE(workload.size(), 3u);
+  // Update documents are drawn from the corpus up front (ingest interns
+  // into the vocabulary the query generator reads).
+  std::vector<UpdateDoc> docs;
+  for (DocId d = 0; d < 150; ++d) {
+    UpdateDoc doc;
+    for (TermId t : engine.corpus().doc(d).tokens) {
+      doc.tokens.push_back(engine.corpus().vocab().TermText(t));
+    }
+    docs.push_back(std::move(doc));
+  }
+
+  PhraseServiceOptions options;
+  options.pool.num_threads = 2;
+  PhraseService service(&engine, options);
+  ASSERT_EQ(&service.engine(), &engine);
+
+  auto check_all = [&](const std::string& phase) {
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+      const Query canonical = CanonicalizeQuery(workload[i]);
+      for (Algorithm algorithm :
+           {Algorithm::kExact, Algorithm::kGm, Algorithm::kSimitsis,
+            Algorithm::kNra, Algorithm::kNraDisk, Algorithm::kSmj}) {
+        const MineOptions mine_options{.k = 10};
+        const ServiceReply reply = service.MineSync(
+            ServiceRequest{workload[i], mine_options, algorithm});
+        ExpectEngineMine(engine.Mine(canonical, algorithm, mine_options),
+                         reply,
+                         phase + " q" + std::to_string(i) + " " +
+                             AlgorithmName(algorithm));
+      }
+    }
+  };
+  check_all("fresh");
+
+  // Under a pending overlay (5 of 300 documents: below the threshold).
+  UpdateBatch small;
+  small.inserts.assign(docs.begin(), docs.begin() + 5);
+  const UpdateStats pending = service.IngestBatch(small);
+  ASSERT_GT(pending.pending_updates, 0u);
+  ASSERT_FALSE(pending.rebuild_recommended);
+  check_all("pending");
+
+  // Past the rebuild threshold: the service rebuilds the engine itself.
+  UpdateBatch large;
+  large.inserts.assign(docs.begin() + 5, docs.end());
+  ASSERT_TRUE(service.IngestBatch(large).rebuild_recommended);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.stats().rebuilds == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.stats().rebuilds, 1u);
+  ASSERT_EQ(engine.update_stats().pending_updates, 0u);
+  check_all("rebuilt");
+}
+
+TEST(ServiceTest, FleetCostGateShedsWhatTheEwmaWouldAdmit) {
+  ShardedEngine fleet =
+      ShardedEngine::Build(testing::MakeSmallSyntheticCorpus(300),
+                           ShardedEngineOptions{.num_shards = 2});
+  const Query query = fleet.ParseQuery("topic:0", QueryOperator::kAnd).value();
+  // A high-df term: the planner reaches its cost model (a short-circuit
+  // decision carries no cost to convert).
+  ASSERT_FALSE(CostPlanner::PlanAcrossShards(
+                   fleet.GatherPlannerInputs(query, MineOptions{}), {})
+                   .estimated_costs.empty());
+
+  PhraseServiceOptions options;
+  options.admission.max_queue_depth = 8;  // enables the gate
+  options.admission.cost_to_ms = 1e6;     // every modeled entry: 1000 s
+  // A minute of deadline: the measured EWMA alone admits the request.
+  ServiceRequest hopeless{query, MineOptions{}, {}};
+  hopeless.deadline_ms = 60000.0;
+
+  PhraseService gated(&fleet, options);
+  // One executed query seeds the EWMA (the gate admits without it).
+  ASSERT_TRUE(gated.Submit(ServiceRequest{query, MineOptions{}, Algorithm::kGm})
+                  .get()
+                  .status.ok());
+  ServiceReply reply = gated.Submit(hopeless).get();
+  EXPECT_EQ(reply.status.code(), StatusCode::kResourceExhausted)
+      << reply.status.ToString();
+  EXPECT_EQ(gated.stats().shed, 1u);
+
+  options.admission.cost_to_ms = 0.0;  // EWMA only
+  PhraseService ewma_only(&fleet, options);
+  ASSERT_TRUE(
+      ewma_only.Submit(ServiceRequest{query, MineOptions{}, Algorithm::kGm})
+          .get()
+          .status.ok());
+  reply = ewma_only.Submit(hopeless).get();
+  EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(ewma_only.stats().shed, 0u);
 }
 
 }  // namespace

@@ -64,8 +64,9 @@ TEST(ServiceUpdateTest, IngestInvalidatesResultCacheButKeepsWordLists) {
   request.options.k = 16;
   request.algorithm = Algorithm::kSmj;
 
-  // Warm both caches: the first mine builds alpha's word lists and caches
-  // the result; the repeat must be a hit at epoch 0.
+  // Warm the result cache and the engine's lists: the first mine builds
+  // alpha's word lists and caches the result; the repeat must be a hit at
+  // epoch 0. word_list_cache reports the engine's own built lists.
   ServiceReply first = service.MineSync(request);
   EXPECT_FALSE(first.result_cache_hit);
   EXPECT_EQ(first.epoch, 0u);
@@ -98,8 +99,8 @@ TEST(ServiceUpdateTest, IngestInvalidatesResultCacheButKeepsWordLists) {
   EXPECT_EQ(repeat.epoch, 1u);
   EXPECT_DOUBLE_EQ(ScoreOf(engine, repeat.result, beta), 4.0 / 6.0);
 
-  // ...and the word lists were NOT invalidated (delta correction happens
-  // at read time; only a rebuild re-keys them).
+  // ...and the engine's word lists were NOT invalidated (delta correction
+  // happens at read time; only a rebuild replaces them).
   EXPECT_EQ(service.stats().word_list_cache.entries, warm_list_entries);
 
   // NRA sees the update too, under the approximate guarantee.

@@ -16,6 +16,7 @@
 
 #include "core/engine.h"
 #include "eval/query_gen.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -642,6 +643,82 @@ TEST(ShardedEngineTest, ConcurrentShardIngestStorm) {
   for (std::thread& t : readers) t.join();
   rebuilder.join();
   EXPECT_GE(sharded.epoch(), 1u);
+}
+
+TEST(ShardedEngineTest, AdoptedFleetPassesThroughToItsEngine) {
+  MiningEngine engine = testing::MakeSmallEngine(200);
+  MiningEngine reference = testing::MakeSmallEngine(200);
+  ShardedEngine adopted = ShardedEngine::Adopt(&engine);
+  EXPECT_EQ(adopted.num_shards(), 1u);
+  EXPECT_EQ(&adopted.shard(0), &engine);
+  EXPECT_EQ(adopted.smj_fraction(), engine.smj_fraction());
+
+  // Every algorithm hands back the engine's own mine, bitwise, with the
+  // one-entry epoch vector filled.
+  const Query query = adopted.ParseQuery("topic:0", QueryOperator::kOr).value();
+  for (Algorithm algorithm :
+       {Algorithm::kExact, Algorithm::kGm, Algorithm::kSimitsis,
+        Algorithm::kNra, Algorithm::kNraDisk, Algorithm::kSmj}) {
+    const ShardedMineResult mined = adopted.Mine(query, algorithm);
+    EXPECT_EQ(testing::RankedSignature(mined.result),
+              testing::RankedSignature(reference.Mine(query, algorithm)))
+        << AlgorithmName(algorithm);
+    EXPECT_EQ(mined.result.shard_epochs, std::vector<uint64_t>{0});
+    EXPECT_TRUE(mined.texts.empty());
+  }
+
+  // The passthrough is keyed on adoption, not on the shard count: a
+  // built one-shard fleet still runs the scatter-gather merge.
+  MineOptions traced;
+  traced.trace = true;
+  ShardedEngine built_one =
+      ShardedEngine::Build(testing::MakeSmallSyntheticCorpus(200),
+                           ShardedEngineOptions{.num_shards = 1});
+  EXPECT_EQ(built_one.Mine(query, Algorithm::kSmj, traced).result.trace->name,
+            "mine:sharded");
+  EXPECT_NE(adopted.Mine(query, Algorithm::kSmj, traced).result.trace->name,
+            "mine:sharded");
+
+  // Direct engine updates and rebuilds reach the fleet listener, wrapped
+  // as one-entry events; delete ids keep the engine's own numbering.
+  std::vector<ShardedUpdateEvent> events;
+  adopted.SetUpdateListener(
+      [&events](const ShardedUpdateEvent& ev) { events.push_back(ev); });
+  UpdateBatch batch;
+  batch.deletes = {0};
+  engine.ApplyUpdate(batch);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].epoch, 1u);
+  ASSERT_EQ(events[0].shards.size(), 1u);
+  EXPECT_EQ(events[0].shards[0].epoch, 1u);
+  EXPECT_FALSE(events[0].rebuilt);
+  const ShardedUpdateStats stats = adopted.ApplyUpdate(batch);  // no-op
+  EXPECT_EQ(stats.total.batch_deletes, 0u);
+  EXPECT_EQ(stats.epochs, std::vector<uint64_t>{2});
+  EXPECT_EQ(adopted.update_stats().live_docs, 199u);
+  engine.Rebuild();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_TRUE(events[2].rebuilt);
+  EXPECT_EQ(adopted.epochs(), std::vector<uint64_t>{engine.epoch()});
+  adopted.SetUpdateListener(nullptr);
+  engine.ApplyUpdate(batch);
+  EXPECT_EQ(events.size(), 3u);
+}
+
+TEST(ShardedEngineTest, AdoptedFleetRefusesToDestroyItsEngine) {
+  MiningEngine engine = testing::MakeSmallEngine(120);
+  ShardedEngine adopted = ShardedEngine::Adopt(&engine);
+  EXPECT_EQ(adopted.RefreshDictionary().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(adopted.SaveToFiles("adopted_fleet_refused").code(),
+            StatusCode::kFailedPrecondition);
+  // The borrowed engine is untouched and still serves through the fleet.
+  EXPECT_EQ(&adopted.shard(0), &engine);
+  const Query query =
+      adopted.ParseQuery("topic:0", QueryOperator::kAnd).value();
+  EXPECT_EQ(
+      testing::RankedSignature(adopted.Mine(query, Algorithm::kSmj).result),
+      testing::RankedSignature(engine.Mine(query, Algorithm::kSmj)));
 }
 
 }  // namespace

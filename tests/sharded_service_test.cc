@@ -138,16 +138,22 @@ TEST(ShardedServiceTest, IngestMovesCompositeEpochAndInvalidatesByKey) {
   EXPECT_GE(refreshed.epoch, stats.epoch);
 }
 
-TEST(ShardedServiceTest, NumShardsConfigSwitchReshardsMonolith) {
+TEST(ShardedServiceTest, FleetBuiltFromMonolithCorpusServesMonolithScores) {
   MiningEngineOptions engine_options;
   engine_options.extractor.min_df = 2;
   MiningEngine engine = MiningEngine::Build(MakeTinyCorpus(), engine_options);
 
+  // A fleet over a copy of the engine's base corpus, inheriting its build
+  // options, serves every query through the scatter-gather path.
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine = engine.options();
+  ShardedEngine sharded =
+      ShardedEngine::Build(engine.CloneBaseCorpus(), sharded_options);
   PhraseServiceOptions options;
   options.pool.num_threads = 2;
-  options.num_shards = 3;
-  PhraseService service(&engine, options);
-  ASSERT_NE(service.sharded(), nullptr);
+  PhraseService service(&sharded, options);
+  ASSERT_EQ(service.sharded(), &sharded);
   EXPECT_EQ(service.sharded()->num_shards(), 3u);
 
   const Query query =

@@ -121,6 +121,41 @@ TEST(SubscriptionManagerTest, BootstrapPublishArrivesThroughPoll) {
   EXPECT_EQ(snap.counter("subscribe_remine_total"), 0u);
 }
 
+TEST(SubscriptionManagerTest, DirectEngineUpdatesAndRebuildsPublish) {
+  // The manager serves a single engine through an adopted one-shard fleet;
+  // the engine's own ApplyUpdate and Rebuild calls must still reach it.
+  MiningEngine engine = MakeChurnEngine();
+  SubscriptionManager manager(&engine);
+  SubscriptionRequest request;
+  request.terms = {"beta"};
+  request.k = 3;
+  auto id = manager.Subscribe(request);
+  ASSERT_TRUE(id.ok());
+  const Query query = engine.ParseQuery("beta", QueryOperator::kAnd).value();
+
+  auto expect_fresh = [&](uint64_t epoch) {
+    manager.Flush();
+    auto snapshot = manager.Snapshot(id.value());
+    ASSERT_TRUE(snapshot.ok());
+    EXPECT_EQ(snapshot.value().epoch, epoch);
+    EXPECT_TRUE(snapshot.value().exact);
+    const MineResult fresh =
+        engine.Mine(query, Algorithm::kSmj, MineOptions{.k = request.k});
+    ASSERT_EQ(snapshot.value().topk.size(), fresh.phrases.size());
+    for (std::size_t i = 0; i < fresh.phrases.size(); ++i) {
+      EXPECT_EQ(snapshot.value().topk[i].phrase, fresh.phrases[i].phrase);
+      EXPECT_EQ(snapshot.value().topk[i].score, fresh.phrases[i].score);
+    }
+  };
+  expect_fresh(0);
+  engine.ApplyUpdate(OneDoc({"alpha", "beta", "padD"}));
+  expect_fresh(1);
+  engine.Rebuild();
+  expect_fresh(2);
+  engine.ApplyUpdate(OneDoc({"gamma", "beta", "padE"}));
+  expect_fresh(3);
+}
+
 TEST(SubscriptionManagerTest, UnsubscribeStopsDeliveryAndReportsNotFound) {
   MiningEngine engine = MakeChurnEngine();
   SubscriptionManager manager(&engine);
@@ -359,14 +394,18 @@ TEST(SubscriptionServiceTest, WrappersRouteThroughTheLazyManager) {
 }
 
 TEST(SubscriptionServiceTest, ShardedServiceServesSubscriptions) {
-  // The num_shards config switch: the lazily created manager must target
-  // the internal fleet, not the seed engine the service was handed.
+  // The lazily created manager must target the service's fleet, not the
+  // engine whose corpus the fleet was built from.
   MiningEngine engine = testing::MakeSmallEngine(120);
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.engine = engine.options();
+  ShardedEngine sharded =
+      ShardedEngine::Build(engine.CloneBaseCorpus(), sharded_options);
   PhraseServiceOptions options;
   options.pool.num_threads = 2;
-  options.num_shards = 2;
   options.enable_auto_rebuild = false;
-  PhraseService service(&engine, options);
+  PhraseService service(&sharded, options);
 
   const std::string term =
       engine.corpus().vocab().TermText(engine.corpus().doc(0).tokens[0]);

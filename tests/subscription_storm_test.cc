@@ -162,11 +162,15 @@ TEST(SubscriptionStormTest, ServiceFrontDoorStormWithQueries) {
   // registry and (on this config) a 2-shard fleet. Auto-rebuild is off so
   // the final differential comparison races nothing.
   MiningEngine engine = testing::MakeSmallEngine(150);
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.engine = engine.options();
+  ShardedEngine sharded =
+      ShardedEngine::Build(engine.CloneBaseCorpus(), sharded_options);
   PhraseServiceOptions options;
   options.pool.num_threads = 2;
-  options.num_shards = 2;
   options.enable_auto_rebuild = false;
-  PhraseService service(&engine, options);
+  PhraseService service(&sharded, options);
   const Corpus& corpus = service.engine().corpus();
   const std::vector<std::string> hot = HotTerms(corpus, 8);
   ASSERT_GE(hot.size(), 4u);
