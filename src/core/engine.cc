@@ -222,6 +222,11 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
       return s;
     Result<ForwardIndex> part = ForwardIndex::Deserialize(&*reader);
     if (!part.ok()) return part.status();
+    // Readers of forward() take a stored list as the document's whole
+    // phrase set, which only a kFull index guarantees.
+    if (part.value().storage() != ForwardStorage::kFull) {
+      return Status::Corruption("full forward index section is compressed");
+    }
     engine.forward_full_ = std::move(part.value());
   }
   {

@@ -486,6 +486,7 @@ class MiningEngine {
   const Corpus& corpus() const { return corpus_; }
   const PhraseDictionary& dict() const { return dict_; }
   const InvertedIndex& inverted() const { return inverted_; }
+  /// The kFull forward index: stored(d) is document d's whole phrase set.
   const ForwardIndex& forward() const { return forward_full_; }
   const ForwardIndex& forward_compressed() const { return forward_compressed_; }
   const PhraseListFile& phrase_file() const { return phrase_file_; }

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/cancel.h"
@@ -95,19 +94,22 @@ int GuaranteeRank(UpdateGuarantee g) {
   return 3;
 }
 
-/// One candidate's supports within one shard (scatter output). The phrase
-/// id is global -- every shard clones the same frozen phrase set -- which
-/// is what lets the gather join candidates with integer keys.
+/// One candidate of one shard's scatter. The phrase id is global -- every
+/// shard clones the same frozen phrase set -- which is what lets the
+/// gather join candidates with integer keys.
 struct ShardCandidate {
   PhraseId phrase = kInvalidPhraseId;
   uint32_t df = 0;
-  uint32_t freq_subset = 0;           // count modes
-  std::vector<uint32_t> codf;         // list modes, aligned with query terms
+  uint32_t freq_subset = 0;  // count modes
 };
 
 /// Everything one shard contributes in the scatter round.
 struct ShardScatter {
   std::vector<ShardCandidate> candidates;
+  /// List-exhaustive scatter: candidate i's per-term co-occurrence
+  /// counts, aligned with the query terms, in row i of this flat
+  /// row-major array (codf[i * r + j]); empty on every other path.
+  std::vector<uint32_t> codf;
   std::size_t subcollection = 0;      // count modes: |D'_s|
   std::size_t num_docs = 0;           // shard corpus size |D_s|
   uint64_t epoch = 0;
@@ -119,25 +121,30 @@ struct ShardScatter {
   /// truncated at k' (i.e. more could exist below); 0 when it reported
   /// everything it found.
   double local_floor = 0.0;
-  /// Non-OK when the shard's local mine aborted (deadline fired inside the
-  /// shard miner, or its disk tier latched an error): the leg's candidates
-  /// are a partial view and the merge must abort with this status.
+  /// Non-OK when the shard's leg aborted (deadline fired inside the
+  /// shard's scan or miner, or its disk tier latched an error): the leg's
+  /// candidates are a partial view and the merge must abort with this
+  /// status.
   Status status;
 };
 
-/// Supports one shard computed for union candidates in the fill round.
-struct PartialSupport {
-  uint32_t df = 0;
-  uint32_t freq_subset = 0;
-  std::vector<uint32_t> codf;
+/// Supports one shard computed for the union candidates in the fill
+/// round, flat like the scatter's: entry i (row i of `codf`) belongs to
+/// union candidate i. Arrays a mode does not fill stay empty, and so does
+/// every array of a leg that skipped the round.
+struct ShardFill {
+  std::vector<uint32_t> df;
+  std::vector<uint32_t> freq_subset;  // count top-k'
+  std::vector<uint32_t> codf;         // list top-k', r per row
+  std::size_t subcollection = 0;      // count top-k': |D'_s|
 };
 
-/// One merged candidate with summed global supports.
+/// One merged candidate's summed global supports (its summed per-term
+/// co-occurrence counts are row `slot` of the union's flat codf array).
 struct GlobalCandidate {
   PhraseId phrase = kInvalidPhraseId;
   uint64_t df = 0;
   uint64_t freq_subset = 0;
-  std::vector<uint64_t> codf;
 };
 
 int64_t ClampCount(int64_t value, int64_t hi) {
@@ -149,6 +156,27 @@ const DeltaIndex* PendingDelta(const EpochDelta& snap) {
   return snap.delta != nullptr && snap.delta->pending_updates() > 0
              ? snap.delta.get()
              : nullptr;
+}
+
+/// Cancellation cadence of the exhaustive scatter legs: a count leg polls
+/// the token every kDocsPerPoll sub-collection documents, a list leg every
+/// kEntriesPerPoll folded list entries.
+constexpr std::size_t kDocsPerPoll = 64;
+constexpr uint64_t kEntriesPerPoll = 1024;
+
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// The calling thread's dense PhraseId -> slot join table, at least
+/// `size` entries. Ids index the frozen global set, so a dense table beats
+/// hashing (candidate unions reach thousands of entries on OR queries).
+/// Grow-only scratch that is all-kNoSlot between uses: every user resets
+/// the entries it set before it returns, so a query pays neither a
+/// dictionary-sized allocation nor a clear. No user nests inside another
+/// on one thread.
+std::vector<uint32_t>& SlotTable(std::size_t size) {
+  thread_local std::vector<uint32_t> table;
+  if (table.size() < size) table.resize(size, kNoSlot);
+  return table;
 }
 
 // Every scatter/fill helper below validates the shard's structure
@@ -163,8 +191,8 @@ const DeltaIndex* PendingDelta(const EpochDelta& snap) {
 /// pending updates the shard result -- like the monolithic one -- is
 /// stale and stamped as such).
 bool CountScatter(MiningEngine& engine, const Query& query,
-                  Algorithm algorithm, const EpochDelta& snap,
-                  ShardScatter* out) {
+                  Algorithm algorithm, const CancelToken* cancel,
+                  const EpochDelta& snap, ShardScatter* out) {
   *out = ShardScatter{};
   out->epoch = snap.epoch;
   out->guarantee = GuaranteeFor(algorithm, PendingDelta(snap) != nullptr);
@@ -182,9 +210,17 @@ bool CountScatter(MiningEngine& engine, const Query& query,
     if (counts.size() < engine.dict().size()) {
       counts.resize(engine.dict().size(), 0);
     }
+    // forward() is the kFull index, so a stored list is already the
+    // document's complete phrase set (Phrases() would only copy it).
+    const ForwardIndex& forward = engine.forward();
     std::vector<PhraseId> touched;
-    for (DocId d : subset) {
-      for (PhraseId p : engine.forward().Phrases(d, engine.dict())) {
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      if (i % kDocsPerPoll == 0 && CancelExpired(cancel)) {
+        out->status = Status::DeadlineExceeded(
+            "deadline expired during sharded scatter");
+        break;
+      }
+      for (PhraseId p : forward.stored(subset[i])) {
         if (counts[p] == 0) touched.push_back(p);
         ++counts[p];
         ++out->entries_read;
@@ -193,7 +229,7 @@ bool CountScatter(MiningEngine& engine, const Query& query,
     out->candidates.reserve(touched.size());
     for (PhraseId p : touched) {
       out->candidates.push_back(
-          ShardCandidate{p, engine.dict().df(p), counts[p], {}});
+          ShardCandidate{p, engine.dict().df(p), counts[p]});
       counts[p] = 0;
     }
     return true;
@@ -207,8 +243,8 @@ bool CountScatter(MiningEngine& engine, const Query& query,
 /// the gather applies the global AND filter, which is what catches
 /// phrases whose terms co-occur only across shards.
 bool ListScatter(MiningEngine& engine, const Query& query,
-                 Algorithm algorithm, const EpochDelta& snap,
-                 ShardScatter* out) {
+                 Algorithm algorithm, const CancelToken* cancel,
+                 const EpochDelta& snap, ShardScatter* out) {
   const std::size_t r = query.terms.size();
   engine.EnsureIdOrderedLists(query.terms);  // includes the score lists
   const DeltaIndex* delta = PendingDelta(snap);
@@ -222,24 +258,32 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       if (!engine.word_lists().Has(t)) return false;
     }
     out->num_docs = engine.forward().num_docs();
-    std::unordered_map<PhraseId, std::size_t> slot;
-    auto fold = [&](std::size_t term_index, PhraseId phrase, double prob) {
+    std::vector<uint32_t>& slot = SlotTable(engine.dict().size());
+    // Folds one list entry into its candidate's row; polls the token every
+    // kEntriesPerPoll entries and returns false once it fired.
+    auto fold = [&](std::size_t term_index, PhraseId phrase,
+                    double prob) -> bool {
+      if (out->entries_read % kEntriesPerPoll == 0 &&
+          CancelExpired(cancel)) {
+        out->status = Status::DeadlineExceeded(
+            "deadline expired during sharded scatter");
+        return false;
+      }
+      ++out->entries_read;
       const TermId t = query.terms[term_index];
       const uint32_t base_df = engine.dict().df(phrase);
       const uint32_t df_adj = AdjustedShardDf(base_df, phrase, delta);
       const uint32_t codf =
           AdjustedShardCodf(prob, base_df, t, phrase, delta, df_adj);
-      ++out->entries_read;
-      if (codf == 0) return;
-      auto [it, inserted] = slot.try_emplace(phrase, out->candidates.size());
-      if (inserted) {
-        ShardCandidate cand;
-        cand.phrase = phrase;
-        cand.df = df_adj;
-        cand.codf.assign(r, 0);
-        out->candidates.push_back(std::move(cand));
+      if (codf == 0) return true;
+      uint32_t& row = slot[phrase];
+      if (row == kNoSlot) {
+        row = static_cast<uint32_t>(out->candidates.size());
+        out->candidates.push_back(ShardCandidate{phrase, df_adj, 0});
+        out->codf.resize(out->codf.size() + r, 0);
       }
-      out->candidates[it->second].codf[term_index] = codf;
+      out->codf[row * r + term_index] = codf;
+      return true;
     };
     // The engine's cached id-ordered lists carry the SoA views the fold
     // streams over (contiguous id/prob arrays), and double as the
@@ -249,36 +293,45 @@ bool ListScatter(MiningEngine& engine, const Query& query,
     // concurrent invalidation or a truncated fraction removed it.
     const WordIdOrderedLists* idl = engine.id_ordered_lists();
     const bool use_idl = idl != nullptr && idl->fraction() >= 1.0;
-    for (std::size_t i = 0; i < r; ++i) {
-      const TermId t = query.terms[i];
-      if (use_idl && idl->Has(t)) {
-        const SoABlockList* soa = idl->soa(t);
-        const PhraseId* ids = soa->ids();
-        const double* probs = soa->probs();
-        const std::size_t len = soa->size();
-        for (std::size_t k = 0; k < len; ++k) fold(i, ids[k], probs[k]);
+    auto fold_all = [&]() -> bool {
+      for (std::size_t i = 0; i < r; ++i) {
+        const TermId t = query.terms[i];
+        if (use_idl && idl->Has(t)) {
+          const SoABlockList* soa = idl->soa(t);
+          const PhraseId* ids = soa->ids();
+          const double* probs = soa->probs();
+          const std::size_t len = soa->size();
+          for (std::size_t k = 0; k < len; ++k) {
+            if (!fold(i, ids[k], probs[k])) return false;
+          }
+          if (delta != nullptr) {
+            for (const ListEntry& extra :
+                 delta->ExtraIdOrderedEntries(t, idl->list(t))) {
+              if (!fold(i, extra.phrase, extra.prob)) return false;
+            }
+          }
+          continue;
+        }
+        const SharedWordList base = engine.word_lists().shared(t);
+        for (const ListEntry& entry : *base) {
+          if (!fold(i, entry.phrase, entry.prob)) return false;
+        }
         if (delta != nullptr) {
-          for (const ListEntry& extra :
-               delta->ExtraIdOrderedEntries(t, idl->list(t))) {
-            fold(i, extra.phrase, extra.prob);
+          // Pairs whose co-occurrence became positive purely through
+          // updates are absent from the stored list; enumerate them the
+          // same way the monolithic SMJ bundle assembly does.
+          const SharedWordList id_base = WordIdOrderedLists::IdOrderPrefix(
+              std::span<const ListEntry>(*base));
+          for (const ListEntry& extra : delta->ExtraIdOrderedEntries(
+                   t, std::span<const ListEntry>(*id_base))) {
+            if (!fold(i, extra.phrase, extra.prob)) return false;
           }
         }
-        continue;
       }
-      const SharedWordList base = engine.word_lists().shared(t);
-      for (const ListEntry& entry : *base) fold(i, entry.phrase, entry.prob);
-      if (delta != nullptr) {
-        // Pairs whose co-occurrence became positive purely through
-        // updates are absent from the stored list; enumerate them the
-        // same way the monolithic SMJ bundle assembly does.
-        const SharedWordList id_base = WordIdOrderedLists::IdOrderPrefix(
-            std::span<const ListEntry>(*base));
-        for (const ListEntry& extra : delta->ExtraIdOrderedEntries(
-                 t, std::span<const ListEntry>(*id_base))) {
-          fold(i, extra.phrase, extra.prob);
-        }
-      }
-    }
+      return true;
+    };
+    (void)fold_all();  // a cancelled fold left its status in *out
+    for (const ShardCandidate& c : out->candidates) slot[c.phrase] = kNoSlot;
     return true;
   });
 }
@@ -326,7 +379,7 @@ bool TopKScatter(MiningEngine& engine, const Query& query,
       // back ids from the previous set; an out-of-range one must not
       // crash (the fill round's generation check rejects the attempt).
       if (mp.phrase >= engine.dict().size()) continue;
-      out->candidates.push_back(ShardCandidate{mp.phrase, 0, 0, {}});
+      out->candidates.push_back(ShardCandidate{mp.phrase, 0, 0});
     }
   });
   return true;
@@ -338,29 +391,36 @@ bool TopKScatter(MiningEngine& engine, const Query& query,
 bool CountFill(MiningEngine& engine, const Query& query,
                std::span<const GlobalCandidate> cands,
                std::span<const uint8_t> need, bool need_freq,
-               const EpochDelta& snap, std::size_t* subcollection,
-               std::vector<PartialSupport>* out) {
-  out->assign(cands.size(), PartialSupport{});
+               const EpochDelta& snap, ShardFill* out) {
+  out->df.assign(cands.size(), 0);
+  if (need_freq) out->freq_subset.assign(cands.size(), 0);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    std::unordered_map<PhraseId, std::size_t> slot;
+    const std::size_t set_size = engine.dict().size();
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (!need[i]) continue;
-      const PhraseId p = cands[i].phrase;
-      if (p >= engine.dict().size()) continue;
-      (*out)[i].df = engine.dict().df(p);
-      if (need_freq) slot.emplace(p, i);
-    }
-    if (need_freq) {
-      const std::vector<DocId> subset =
-          EvalSubCollection(query, engine.inverted());
-      *subcollection = subset.size();
-      for (DocId d : subset) {
-        for (PhraseId p : engine.forward().Phrases(d, engine.dict())) {
-          auto it = slot.find(p);
-          if (it != slot.end()) ++(*out)[it->second].freq_subset;
-        }
+      if (need[i] && cands[i].phrase < set_size) {
+        out->df[i] = engine.dict().df(cands[i].phrase);
       }
+    }
+    if (!need_freq) return true;
+    std::vector<uint32_t>& slot = SlotTable(set_size);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (need[i] && cands[i].phrase < set_size) {
+        slot[cands[i].phrase] = static_cast<uint32_t>(i);
+      }
+    }
+    const std::vector<DocId> subset =
+        EvalSubCollection(query, engine.inverted());
+    out->subcollection = subset.size();
+    for (DocId d : subset) {
+      // kFull forward index: the stored list is the full phrase set.
+      for (PhraseId p : engine.forward().stored(d)) {
+        const uint32_t i = slot[p];
+        if (i != kNoSlot) ++out->freq_subset[i];
+      }
+    }
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (cands[i].phrase < set_size) slot[cands[i].phrase] = kNoSlot;
     }
     return true;
   });
@@ -371,11 +431,12 @@ bool CountFill(MiningEngine& engine, const Query& query,
 bool ListFill(MiningEngine& engine, const Query& query,
               std::span<const GlobalCandidate> cands,
               std::span<const uint8_t> need, bool need_codf,
-              const EpochDelta& snap, std::vector<PartialSupport>* out) {
+              const EpochDelta& snap, ShardFill* out) {
   const std::size_t r = query.terms.size();
   if (need_codf) engine.EnsureIdOrderedLists(query.terms);
   const DeltaIndex* delta = PendingDelta(snap);
-  out->assign(cands.size(), PartialSupport{});
+  out->df.assign(cands.size(), 0);
+  if (need_codf) out->codf.assign(cands.size() * r, 0);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
     if (need_codf) {
@@ -383,12 +444,12 @@ bool ListFill(MiningEngine& engine, const Query& query,
         if (!engine.word_lists().Has(t)) return false;
       }
     }
+    const std::size_t set_size = engine.dict().size();
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (!need[i]) continue;
       const PhraseId p = cands[i].phrase;
-      if (p >= engine.dict().size()) continue;
-      (*out)[i].df = AdjustedShardDf(engine.dict().df(p), p, delta);
-      if (need_codf) (*out)[i].codf.assign(r, 0);
+      if (p >= set_size) continue;
+      out->df[i] = AdjustedShardDf(engine.dict().df(p), p, delta);
     }
     if (!need_codf) return true;
 
@@ -407,7 +468,7 @@ bool ListFill(MiningEngine& engine, const Query& query,
       probes.reserve(cands.size());
       for (std::size_t i = 0; i < cands.size(); ++i) {
         if (!need[i]) continue;
-        if (cands[i].phrase >= engine.dict().size()) continue;
+        if (cands[i].phrase >= set_size) continue;
         probes.emplace_back(cands[i].phrase, i);
       }
       std::sort(probes.begin(), probes.end());
@@ -420,11 +481,9 @@ bool ListFill(MiningEngine& engine, const Query& query,
         const TermId t = query.terms[j];
         kernels::GatherProbes(*idl->soa(t), probe_ids, gathered.data());
         for (std::size_t m = 0; m < probes.size(); ++m) {
-          const std::size_t i = probes[m].second;
-          const PhraseId p = probes[m].first;
-          const uint32_t base_df = engine.dict().df(p);
-          (*out)[i].codf[j] = AdjustedShardCodf(gathered[m], base_df, t, p, delta,
-                                           (*out)[i].df);
+          const auto [p, i] = probes[m];
+          out->codf[i * r + j] = AdjustedShardCodf(
+              gathered[m], engine.dict().df(p), t, p, delta, out->df[i]);
         }
       }
       return true;
@@ -432,34 +491,36 @@ bool ListFill(MiningEngine& engine, const Query& query,
 
     // Fallback scan over the score-ordered lists (truncated id-list cache
     // or a concurrent invalidation), the pre-kernel reference path.
-    std::unordered_map<PhraseId, std::size_t> slot;
+    std::vector<uint32_t>& slot = SlotTable(set_size);
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (!need[i]) continue;
-      const PhraseId p = cands[i].phrase;
-      if (p >= engine.dict().size()) continue;
-      slot.emplace(p, i);
+      if (need[i] && cands[i].phrase < set_size) {
+        slot[cands[i].phrase] = static_cast<uint32_t>(i);
+      }
     }
     std::vector<uint8_t> in_base(cands.size());
     for (std::size_t j = 0; j < r; ++j) {
       const TermId t = query.terms[j];
       std::fill(in_base.begin(), in_base.end(), 0);
       for (const ListEntry& entry : engine.word_lists().list(t)) {
-        auto it = slot.find(entry.phrase);
-        if (it == slot.end()) continue;
-        const std::size_t i = it->second;
+        const uint32_t i = slot[entry.phrase];
+        if (i == kNoSlot) continue;
         in_base[i] = 1;
         const uint32_t base_df = engine.dict().df(entry.phrase);
-        (*out)[i].codf[j] = AdjustedShardCodf(entry.prob, base_df, t,
-                                         entry.phrase, delta, (*out)[i].df);
+        out->codf[i * r + j] = AdjustedShardCodf(
+            entry.prob, base_df, t, entry.phrase, delta, out->df[i]);
       }
       if (delta == nullptr) continue;
       // Candidates absent from the base list may still have a positive
       // co-occurrence purely through updates.
-      for (const auto& [p, i] : slot) {
-        if (in_base[i]) continue;
-        (*out)[i].codf[j] = static_cast<uint32_t>(ClampCount(
-            delta->CoDelta(t, p), static_cast<int64_t>((*out)[i].df)));
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        if (!need[i] || cands[i].phrase >= set_size || in_base[i]) continue;
+        out->codf[i * r + j] = static_cast<uint32_t>(
+            ClampCount(delta->CoDelta(t, cands[i].phrase),
+                       static_cast<int64_t>(out->df[i])));
       }
+    }
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (cands[i].phrase < set_size) slot[cands[i].phrase] = kNoSlot;
     }
     return true;
   });
@@ -730,18 +791,20 @@ void ShardedEngine::ParallelOverShards(
     for (std::size_t s = 0; s < n; ++s) fn(s);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
+  // One countdown per round; a leg's task captures two words, small
+  // enough for std::function to hold without a heap allocation.
+  std::latch done(static_cast<std::ptrdiff_t>(n));
+  auto leg = [&fn, &done](std::size_t s) {
+    fn(s);
+    done.count_down();
+  };
   for (std::size_t s = 0; s < n; ++s) {
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        [&fn, s] { fn(s); });
-    futures.push_back(task->get_future());
     // TrySubmit so a saturated pool degrades to inline execution on the
     // caller's thread instead of risking submitter pile-ups under heavy
     // concurrent fan-out.
-    if (!pool_->TrySubmit([task] { (*task)(); })) (*task)();
+    if (!pool_->TrySubmit([&leg, s] { leg(s); })) leg(s);
   }
-  for (std::future<void>& f : futures) f.get();
+  done.wait();
 }
 
 Result<Query> ShardedEngine::ParseQuery(std::string_view text,
@@ -875,12 +938,12 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
       bool ok = true;
       switch (mode) {
         case MergeMode::kCountExhaustive:
-          ok = CountScatter(*shards_[s], query, algorithm, snaps[s],
-                            &scatter[s]);
+          ok = CountScatter(*shards_[s], query, algorithm, options.cancel,
+                            snaps[s], &scatter[s]);
           break;
         case MergeMode::kListExhaustive:
-          ok = ListScatter(*shards_[s], query, algorithm, snaps[s],
-                           &scatter[s]);
+          ok = ListScatter(*shards_[s], query, algorithm, options.cancel,
+                           snaps[s], &scatter[s]);
           break;
         case MergeMode::kCountTopK:
         case MergeMode::kListTopK:
@@ -933,47 +996,44 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     }
 
     // --- Union (join by global PhraseId) -------------------------------------
-    // Ids index the frozen global set, so a dense slot table beats
-    // hashing (candidate unions reach thousands of entries on OR
-    // queries). Thread-local grow-only scratch: touched entries are
-    // reset below, so between uses the table is all-kNoSlot and a query
-    // pays no dictionary-sized allocation.
+    // Ids beyond the set can only come from a stale pre-refresh mine;
+    // they are dropped (the shard would re-report under the new set
+    // anyway).
     const std::size_t set_size = global_set_->size();
-    constexpr uint32_t kNoSlot = UINT32_MAX;
-    thread_local std::vector<uint32_t> slot_of;
-    if (slot_of.size() < set_size) slot_of.resize(set_size, kNoSlot);
+    std::vector<uint32_t>& slot_of = SlotTable(set_size);
     std::vector<GlobalCandidate> cands;
     for (const ShardScatter& shard : scatter) {
       for (const ShardCandidate& sc : shard.candidates) {
-        // Ids beyond the set can only come from a stale pre-refresh mine;
-        // drop them (the shard would re-report under the new set anyway).
-        if (sc.phrase >= set_size) continue;
-        if (slot_of[sc.phrase] == kNoSlot) {
-          slot_of[sc.phrase] = static_cast<uint32_t>(cands.size());
-          GlobalCandidate gc;
-          gc.phrase = sc.phrase;
-          gc.codf.assign(r, 0);
-          cands.push_back(std::move(gc));
-        }
+        if (sc.phrase >= set_size || slot_of[sc.phrase] != kNoSlot) continue;
+        slot_of[sc.phrase] = static_cast<uint32_t>(cands.size());
+        cands.push_back(GlobalCandidate{sc.phrase, 0, 0});
       }
     }
-    // Only the exhaustive merges need the reported matrix (it restricts
-    // the fill to unreported shards); top-k' modes fill everything.
-    std::vector<std::vector<uint8_t>> reported;
+    const std::size_t num_cands = cands.size();
+    // Summed per-term co-occurrence counts, row-major: candidate i's row
+    // is cand_codf[i * r, (i + 1) * r) (list modes only).
+    std::vector<uint32_t> cand_codf(IsCountMode(mode) ? 0 : num_cands * r, 0);
+    // Only the exhaustive merges need the reported bitmap (it restricts
+    // the fill to unreported shards); top-k' modes fill everything. Shard
+    // s's flags are reported[s * num_cands, (s + 1) * num_cands).
+    std::vector<uint8_t> reported;
     if (!IsTopKMode(mode)) {
-      reported.assign(n, std::vector<uint8_t>(cands.size(), 0));
+      reported.assign(n * num_cands, 0);
       // Exhaustive scatter already carries each reporting shard's
       // supports.
       for (std::size_t s = 0; s < n; ++s) {
-        for (const ShardCandidate& sc : scatter[s].candidates) {
+        const ShardScatter& shard = scatter[s];
+        for (std::size_t c = 0; c < shard.candidates.size(); ++c) {
+          const ShardCandidate& sc = shard.candidates[c];
           if (sc.phrase >= set_size) continue;
           const std::size_t slot = slot_of[sc.phrase];
-          reported[s][slot] = 1;
+          reported[s * num_cands + slot] = 1;
           cands[slot].df += sc.df;
           cands[slot].freq_subset += sc.freq_subset;
-          for (std::size_t j = 0; j < sc.codf.size(); ++j) {
-            cands[slot].codf[j] += sc.codf[j];
-          }
+          if (IsCountMode(mode)) continue;
+          const uint32_t* row = &shard.codf[c * r];
+          uint32_t* sum = &cand_codf[slot * r];
+          for (std::size_t j = 0; j < r; ++j) sum[j] += row[j];
         }
       }
     }
@@ -1001,8 +1061,9 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     // appear in a result (no subset occurrence / missing AND term /
     // non-positive OR score).
     std::vector<double> probs(r);
-    auto evaluate = [&](const GlobalCandidate& gc, double* score,
+    auto evaluate = [&](std::size_t slot, double* score,
                         double* interestingness) -> bool {
+      const GlobalCandidate& gc = cands[slot];
       if (IsCountMode(mode)) {
         if (gc.freq_subset == 0) return false;
         *score = EvaluateInterestingness(
@@ -1011,13 +1072,14 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         *interestingness = *score;
         return true;
       }
+      const uint32_t* codf = &cand_codf[slot * r];
       bool all_present = true;
       for (std::size_t j = 0; j < r; ++j) {
-        if (gc.codf[j] == 0) all_present = false;
+        if (codf[j] == 0) all_present = false;
         // The monolithic list stores count / df in double; the same
         // division over the summed integers reproduces it bitwise.
         probs[j] = gc.df == 0 ? 0.0
-                              : static_cast<double>(gc.codf[j]) /
+                              : static_cast<double>(codf[j]) /
                                     static_cast<double>(gc.df);
       }
       if (query.op == QueryOperator::kAnd) {
@@ -1053,23 +1115,23 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         IsCountMode(mode) || query.op == QueryOperator::kAnd ||
         options.or_order != OrExpansionOrder::kSecondOrder;
     if (options_.threshold_exchange && !IsTopKMode(mode) && df_monotone &&
-        options.k > 0 && cands.size() > options.k) {
-      pruned.assign(cands.size(), 0);
+        options.k > 0 && num_cands > options.k) {
+      pruned.assign(num_cands, 0);
       struct Settled {
         double score;
         PhraseId phrase;
       };
       std::vector<Settled> settled;
-      std::vector<double> upper(cands.size(), 0.0);
-      std::vector<uint8_t> alive(cands.size(), 0);
-      for (std::size_t i = 0; i < cands.size(); ++i) {
+      std::vector<double> upper(num_cands, 0.0);
+      std::vector<uint8_t> alive(num_cands, 0);
+      for (std::size_t i = 0; i < num_cands; ++i) {
         double score, interest;
-        if (!evaluate(cands[i], &score, &interest)) continue;
+        if (!evaluate(i, &score, &interest)) continue;
         alive[i] = 1;
         upper[i] = score;
         bool fully_reported = true;
         for (std::size_t s = 0; s < n && fully_reported; ++s) {
-          fully_reported = reported[s][i] != 0;
+          fully_reported = reported[s * num_cands + i] != 0;
         }
         if (fully_reported) settled.push_back(Settled{score, cands[i].phrase});
       }
@@ -1087,7 +1149,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         floor_score = settled[options.k - 1].score;
         have_floor = true;
       }
-      for (std::size_t i = 0; i < cands.size(); ++i) {
+      for (std::size_t i = 0; i < num_cands; ++i) {
         if (!alive[i] || (have_floor && upper[i] < floor_score)) {
           pruned[i] = 1;
           ++pruned_count;
@@ -1100,7 +1162,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     if (trace != nullptr) {
       TraceSpan* exchange = AddSpan(trace, "exchange");
       exchange->wall_ms = watch.ElapsedMillis() - exchange_start;
-      AddCounter(exchange, "candidates", static_cast<double>(cands.size()));
+      AddCounter(exchange, "candidates", static_cast<double>(num_cands));
       AddCounter(exchange, "settled", static_cast<double>(settled_count));
       AddCounter(exchange, "pruned", static_cast<double>(pruned_count));
       if (have_exchange_floor) AddCounter(exchange, "floor", exchange_floor);
@@ -1116,36 +1178,31 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     // this query (freq or every codf zero there), which still belongs in
     // the global denominator -- unless the threshold exchange proved the
     // candidate out of contention above.
-    std::vector<std::vector<PartialSupport>> fill(n);
-    std::vector<std::size_t> fill_subcollection(n, 0);
+    std::vector<ShardFill> fill(n);
     std::size_t fill_slots = 0;
     const double fill_start = trace != nullptr ? watch.ElapsedMillis() : 0.0;
     TraceSpan* fill_span = AddSpan(trace, "fill");
-    if (!cands.empty()) {
+    if (num_cands != 0) {
       std::vector<TraceSpan*> fill_shard_spans(n, nullptr);
       for (std::size_t s = 0; s < n && fill_span != nullptr; ++s) {
         fill_shard_spans[s] = AddSpan(fill_span, "shard " + std::to_string(s));
       }
       ParallelOverShards([&](std::size_t s) {
         SpanTimer span_timer(fill_shard_spans[s]);
-        if (CancelRequested(options.cancel)) {
-          // Sibling aborted: contribute zero supports (the merge loop
-          // below still indexes fill[s] before the abort check runs).
-          fill[s].assign(cands.size(), PartialSupport{});
-          return;
-        }
-        std::vector<uint8_t> need(cands.size());
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-          need[i] = IsTopKMode(mode)
-                        ? 1
-                        : (!reported[s][i] &&
-                           (pruned.empty() || !pruned[i]));
+        // Sibling aborted: leave this leg's fill empty (it sums as zero
+        // supports; the abort check below discards the merge anyway).
+        if (CancelRequested(options.cancel)) return;
+        std::vector<uint8_t> need(num_cands, 1);
+        if (!IsTopKMode(mode)) {
+          const uint8_t* mine = &reported[s * num_cands];
+          for (std::size_t i = 0; i < num_cands; ++i) {
+            need[i] = !mine[i] && (pruned.empty() || !pruned[i]);
+          }
         }
         bool ok;
         if (IsCountMode(mode)) {
           ok = CountFill(*shards_[s], query, cands, need,
-                         /*need_freq=*/IsTopKMode(mode), snaps[s],
-                         &fill_subcollection[s], &fill[s]);
+                         /*need_freq=*/IsTopKMode(mode), snaps[s], &fill[s]);
         } else {
           ok = ListFill(*shards_[s], query, cands, need,
                         /*need_codf=*/IsTopKMode(mode), snaps[s], &fill[s]);
@@ -1156,26 +1213,25 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         std::this_thread::yield();
         continue;
       }
-      for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-          const PartialSupport& ps = fill[s][i];
-          cands[i].df += ps.df;
-          cands[i].freq_subset += ps.freq_subset;
-          for (std::size_t j = 0; j < ps.codf.size(); ++j) {
-            cands[i].codf[j] += ps.codf[j];
-          }
+      for (const ShardFill& f : fill) {
+        for (std::size_t i = 0; i < f.df.size(); ++i) cands[i].df += f.df[i];
+        for (std::size_t i = 0; i < f.freq_subset.size(); ++i) {
+          cands[i].freq_subset += f.freq_subset[i];
+        }
+        for (std::size_t x = 0; x < f.codf.size(); ++x) {
+          cand_codf[x] += f.codf[x];
         }
       }
       // Support lookups the fill actually performed (the exchange's
       // savings metric): every (shard, candidate) pair still needing
       // refinement after scatter reporting and threshold pruning.
       if (IsTopKMode(mode)) {
-        fill_slots = cands.size() * n;
+        fill_slots = num_cands * n;
       } else {
-        for (std::size_t i = 0; i < cands.size(); ++i) {
+        for (std::size_t i = 0; i < num_cands; ++i) {
           if (!pruned.empty() && pruned[i]) continue;
           for (std::size_t s = 0; s < n; ++s) {
-            fill_slots += reported[s][i] ? 0 : 1;
+            fill_slots += reported[s * num_cands + i] ? 0 : 1;
           }
         }
       }
@@ -1195,33 +1251,35 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
 
     // --- Gather: global scores from summed supports --------------------------
     if (IsTopKMode(mode) && IsCountMode(mode)) {
-      for (std::size_t s = 0; s < n; ++s) {
-        total_subcollection += fill_subcollection[s];
-      }
+      for (const ShardFill& f : fill) total_subcollection += f.subcollection;
     }
 
     struct Ranked {
-      std::size_t slot;
+      PhraseId phrase;
       double score;
       double interestingness;
     };
     std::vector<Ranked> ranked;
-    ranked.reserve(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
+    ranked.reserve(num_cands);
+    for (std::size_t i = 0; i < num_cands; ++i) {
       if (!pruned.empty() && pruned[i]) continue;
       double score;
       double interestingness;
-      if (!evaluate(cands[i], &score, &interestingness)) continue;
-      ranked.push_back(Ranked{i, score, interestingness});
+      if (!evaluate(i, &score, &interestingness)) continue;
+      ranked.push_back(Ranked{cands[i].phrase, score, interestingness});
     }
     // Ties order by smaller global PhraseId -- the monolithic collector's
-    // tie-break, now meaningful fleet-wide thanks to the shared set.
-    std::sort(ranked.begin(), ranked.end(),
-              [&](const Ranked& a, const Ranked& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return cands[a.slot].phrase < cands[b.slot].phrase;
-              });
-    if (ranked.size() > options.k) ranked.resize(options.k);
+    // tie-break, now meaningful fleet-wide thanks to the shared set. That
+    // makes the order strict and total, so the partial sort's top k is
+    // exactly a full sort's.
+    const std::size_t keep = std::min(options.k, ranked.size());
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                      ranked.end(), [](const Ranked& a, const Ranked& b) {
+                        if (a.score != b.score) return a.score > b.score;
+                        return a.phrase < b.phrase;
+                      });
+    ranked.resize(keep);
     if (trace != nullptr) {
       TraceSpan* gather = AddSpan(trace, "gather");
       gather->wall_ms = watch.ElapsedMillis() - gather_start;
@@ -1230,7 +1288,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
 
     // --- Assemble ------------------------------------------------------------
     ShardedMineResult out;
-    out.candidates = cands.size();
+    out.candidates = num_cands;
     out.fill_slots = fill_slots;
     out.result.candidates_pruned = pruned_count;
     out.exact_merge = !IsTopKMode(mode);
@@ -1240,7 +1298,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         trace != nullptr ? watch.ElapsedMillis() : 0.0;
     shards_[0]->WithSharedStructures([&] {
       for (std::size_t i = 0; i < ranked.size(); ++i) {
-        const PhraseId id = cands[ranked[i].slot].phrase;
+        const PhraseId id = ranked[i].phrase;
         out.result.phrases.push_back(
             MinedPhrase{id, ranked[i].score, ranked[i].interestingness});
         out.texts.push_back(id < shards_[0]->phrase_file().num_phrases()
@@ -1253,7 +1311,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
       materialize->wall_ms = watch.ElapsedMillis() - materialize_start;
       AddCounter(materialize, "texts", static_cast<double>(out.texts.size()));
     }
-    out.result.peak_candidates = cands.size();
+    out.result.peak_candidates = num_cands;
     out.result.subcollection_size =
         IsCountMode(mode) ? total_subcollection : 0;
     out.result.shard_epochs.reserve(n);
@@ -1277,7 +1335,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     if (trace != nullptr) {
       trace->wall_ms = out.result.compute_ms;
       AddCounter(trace, "shards", static_cast<double>(n));
-      AddCounter(trace, "candidates", static_cast<double>(cands.size()));
+      AddCounter(trace, "candidates", static_cast<double>(num_cands));
       AddCounter(trace, "candidates_pruned",
                  static_cast<double>(pruned_count));
       out.result.trace = std::move(trace_root);

@@ -199,6 +199,91 @@ TEST(DeadlineTest, RunningShardedMineCancelsWithinTwoBatches) {
   EXPECT_FALSE(ok.result.phrases.empty());
 }
 
+/// True when the span tree holds a span with this name.
+bool HasSpan(const TraceSpan* span, const std::string& name) {
+  if (span == nullptr) return false;
+  if (span->name == name) return true;
+  for (const auto& child : span->children) {
+    if (HasSpan(child.get(), name)) return true;
+  }
+  return false;
+}
+
+TEST(DeadlineTest, RunningExhaustiveFleetLegsCancel) {
+  // The exhaustive legs (Exact's sub-collection forward scan, SMJ's full
+  // word-list union) poll the token too: a straggling shard whose
+  // deadline fires before its scan starts stops within two poll
+  // intervals -- 64 sub-collection documents or 1024 folded list entries
+  // -- instead of finishing the scan.
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.engine.extractor.min_df = 3;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(700), std::move(options));
+  const std::size_t n = sharded.num_shards();
+  const Query query = HeavyQuery(sharded.shard(0));
+
+  // A count interval of 64 documents reads at most 64 forward lists.
+  std::size_t longest_doc = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const MiningEngine& shard = sharded.shard(s);
+    for (DocId d = 0; d < shard.forward().num_docs(); ++d) {
+      longest_doc = std::max(longest_doc, shard.forward().stored(d).size());
+    }
+  }
+  struct Leg {
+    Algorithm algorithm;
+    double entries_per_interval;
+  };
+  for (const Leg leg :
+       {Leg{Algorithm::kExact, 64.0 * static_cast<double>(longest_doc)},
+        Leg{Algorithm::kSmj, 1024.0}}) {
+    const char* name = AlgorithmName(leg.algorithm);
+    for (std::size_t s = 0; s < n; ++s) {
+      failpoint::Arm("shard.scatter." + std::to_string(s),
+                     {.delay_ms = 50.0});
+    }
+    const CancelToken deadline = CancelToken::AfterMillis(10.0);
+    MineOptions timed;
+    timed.trace = true;
+    timed.cancel = &deadline;
+    const ShardedMineResult aborted =
+        sharded.Mine(query, leg.algorithm, timed);
+    failpoint::DisarmAll();
+
+    EXPECT_EQ(aborted.result.status.code(), StatusCode::kDeadlineExceeded)
+        << name;
+    ASSERT_NE(aborted.result.trace, nullptr) << name;
+    // The legs ran (the abort is not the pre-scatter check).
+    EXPECT_TRUE(HasSpan(aborted.result.trace.get(), "scatter")) << name;
+    double cancelled = 0.0;
+    EXPECT_TRUE(FindCounter(aborted.result.trace.get(), "cancelled",
+                            &cancelled))
+        << name;
+    EXPECT_EQ(cancelled, 1.0) << name;
+    double at_cancel = -1.0;
+    ASSERT_TRUE(FindCounter(aborted.result.trace.get(), "entries_at_cancel",
+                            &at_cancel))
+        << name;
+    EXPECT_LE(at_cancel,
+              2.0 * leg.entries_per_interval * static_cast<double>(n))
+        << name;
+
+    // A token that never fires leaves the merged output bitwise as is.
+    const CancelToken generous = CancelToken::AfterMillis(600'000.0);
+    MineOptions untimed;
+    untimed.cancel = &generous;
+    const ShardedMineResult plain = sharded.Mine(query, leg.algorithm);
+    const ShardedMineResult polled =
+        sharded.Mine(query, leg.algorithm, untimed);
+    EXPECT_TRUE(polled.result.status.ok()) << name;
+    EXPECT_FALSE(plain.result.phrases.empty()) << name;
+    EXPECT_EQ(RankedSignature(plain.result), RankedSignature(polled.result))
+        << name;
+    EXPECT_EQ(plain.result.entries_read, polled.result.entries_read) << name;
+  }
+}
+
 TEST(DeadlineTest, ServiceDeadlineExpiresMidExecution) {
   // End to end through the front door: a deadline that fires during a
   // slow disk-backed mine surfaces as ServiceReply::status ==

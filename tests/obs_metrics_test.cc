@@ -68,8 +68,9 @@ TEST(ObsMetricsTest, HistogramQuantilesLandInTheRecordedOctave) {
   Histogram* h = registry.GetHistogram("lat_us");
   for (int i = 0; i < 90; ++i) h->Record(100);
   for (int i = 0; i < 10; ++i) h->Record(10000);
-  const HistogramSnapshot* snap =
-      registry.Snapshot().histogram("lat_us");
+  // Keep the snapshot alive: histogram() points into it.
+  const MetricsSnapshot metrics = registry.Snapshot();
+  const HistogramSnapshot* snap = metrics.histogram("lat_us");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->count, 100u);
   EXPECT_EQ(snap->sum, 90u * 100 + 10u * 10000);

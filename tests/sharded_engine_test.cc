@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <map>
 #include <set>
@@ -17,6 +18,7 @@
 #include "core/engine.h"
 #include "eval/query_gen.h"
 #include "obs/trace.h"
+#include "storage/index_file.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -104,6 +106,27 @@ void ExpectEquivalentTopK(MiningEngine& mono, ShardedEngine& sharded,
     }
   }
 }
+
+/// A batch that re-inserts copies of shard 0's first `count` documents and
+/// deletes two base documents: enough churn for a pending overlay to move
+/// dfs and co-occurrence counts on every shard.
+UpdateBatch CopyDocsBatch(const MiningEngine& shard0, DocId count) {
+  UpdateBatch batch;
+  for (DocId d = 0; d < count; ++d) {
+    UpdateDoc doc;
+    const Document& src = shard0.corpus().doc(d % shard0.corpus().size());
+    for (TermId t : src.tokens) {
+      doc.tokens.push_back(std::string(shard0.corpus().vocab().TermText(t)));
+    }
+    batch.inserts.push_back(std::move(doc));
+  }
+  batch.deletes = {2, 4};
+  return batch;
+}
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kExact, Algorithm::kGm,  Algorithm::kSimitsis,
+    Algorithm::kNra,   Algorithm::kNraDisk, Algorithm::kSmj};
 
 // --- Differential: merged Exact/SMJ == monolithic, randomized corpora -------
 
@@ -197,19 +220,7 @@ TEST(ShardedEngineTest, ThresholdExchangeExactUnderDelta) {
   const std::vector<Query> queries = HarvestQueries(mono, 5);
   ASSERT_FALSE(queries.empty());
 
-  UpdateBatch batch;
-  for (DocId d = 0; d < 20; ++d) {
-    UpdateDoc doc;
-    const Document& src = sharded.shard(0).corpus().doc(
-        d % sharded.shard(0).corpus().size());
-    for (TermId t : src.tokens) {
-      doc.tokens.push_back(
-          std::string(sharded.shard(0).corpus().vocab().TermText(t)));
-    }
-    batch.inserts.push_back(std::move(doc));
-  }
-  batch.deletes = {2, 4};
-  (void)sharded.ApplyUpdate(batch);
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
 
   for (const Query& base : queries) {
     for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
@@ -228,6 +239,100 @@ TEST(ShardedEngineTest, ThresholdExchangeExactUnderDelta) {
         EXPECT_EQ(on.result.phrases[i].score, off.result.phrases[i].score);
       }
     }
+  }
+}
+
+// --- Merge layout invariance -------------------------------------------------
+
+/// Pins the merge bit for bit: one FNV-1a digest over every ranked phrase
+/// id and score bit pattern plus the merge's work counters (union size,
+/// fill slots, pruned candidates), across all six algorithms x AND/OR,
+/// fresh and under a pending overlay. A change to the scatter, union,
+/// fill or gather data layout must leave the digest where it is.
+TEST(ShardedEngineTest, MergeOutputIsPinned) {
+  MiningEngine mono =
+      MiningEngine::Build(MakeSmallSyntheticCorpus(600),
+                          EngineOptions(/*min_df=*/3));
+  ShardedEngine sharded =
+      BuildSharded(MakeSmallSyntheticCorpus(600), /*num_shards=*/4,
+                   /*min_df=*/3);
+  const std::vector<Query> queries = HarvestQueries(mono, 6);
+  ASSERT_FALSE(queries.empty());
+
+  std::vector<uint64_t> words;
+  auto mine_all = [&] {
+    for (const Algorithm algorithm : kAllAlgorithms) {
+      for (const Query& base : queries) {
+        for (const QueryOperator op :
+             {QueryOperator::kAnd, QueryOperator::kOr}) {
+          Query query = base;
+          query.op = op;
+          const ShardedMineResult merged =
+              sharded.Mine(query, algorithm, MineOptions{.k = 5});
+          ASSERT_TRUE(merged.result.status.ok());
+          for (const MinedPhrase& p : merged.result.phrases) {
+            words.push_back(p.phrase);
+            words.push_back(std::bit_cast<uint64_t>(p.score));
+          }
+          words.push_back(merged.candidates);
+          words.push_back(merged.fill_slots);
+          words.push_back(merged.result.candidates_pruned);
+        }
+      }
+    }
+  };
+  mine_all();
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
+  mine_all();
+  const uint64_t digest =
+      Fnv1a64(reinterpret_cast<const uint8_t*>(words.data()),
+              words.size() * sizeof(uint64_t));
+  EXPECT_EQ(digest, 0xdc31309cbcb8755eull) << std::hex << digest;
+}
+
+/// At an SMJ fraction below 1 the shards' id-ordered list caches are
+/// truncated, so the list scatter and the list fill take their scans over
+/// the full score-ordered lists instead. Under a pending overlay those
+/// scans must reproduce the id-ordered paths bitwise.
+TEST(ShardedEngineTest, ScoreOrderedFallbacksMatchUnderOverlay) {
+  MiningEngine mono =
+      MiningEngine::Build(MakeSmallSyntheticCorpus(500),
+                          EngineOptions(/*min_df=*/3));
+  ShardedEngine sharded =
+      BuildSharded(MakeSmallSyntheticCorpus(500), /*num_shards=*/4,
+                   /*min_df=*/3);
+  const std::vector<Query> queries = HarvestQueries(mono, 5);
+  ASSERT_FALSE(queries.empty());
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
+
+  auto mine_all = [&] {
+    std::vector<ShardedMineResult> out;
+    for (const Algorithm algorithm : {Algorithm::kSmj, Algorithm::kNra}) {
+      for (const Query& base : queries) {
+        for (const QueryOperator op :
+             {QueryOperator::kAnd, QueryOperator::kOr}) {
+          Query query = base;
+          query.op = op;
+          out.push_back(sharded.Mine(query, algorithm, MineOptions{.k = 5}));
+        }
+      }
+    }
+    return out;
+  };
+  const std::vector<ShardedMineResult> full = mine_all();
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    sharded.shard(s).SetSmjFraction(0.5);
+  }
+  const std::vector<ShardedMineResult> scanned = mine_all();
+  ASSERT_EQ(full.size(), scanned.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].result.guarantee, scanned[i].result.guarantee);
+    EXPECT_NE(full[i].result.guarantee, UpdateGuarantee::kFresh);
+    EXPECT_EQ(testing::RankedSignature(full[i].result),
+              testing::RankedSignature(scanned[i].result))
+        << "mine " << i;
+    EXPECT_EQ(full[i].candidates, scanned[i].candidates) << "mine " << i;
+    EXPECT_EQ(full[i].fill_slots, scanned[i].fill_slots) << "mine " << i;
   }
 }
 
@@ -656,9 +761,7 @@ TEST(ShardedEngineTest, AdoptedFleetPassesThroughToItsEngine) {
   // Every algorithm hands back the engine's own mine, bitwise, with the
   // one-entry epoch vector filled.
   const Query query = adopted.ParseQuery("topic:0", QueryOperator::kOr).value();
-  for (Algorithm algorithm :
-       {Algorithm::kExact, Algorithm::kGm, Algorithm::kSimitsis,
-        Algorithm::kNra, Algorithm::kNraDisk, Algorithm::kSmj}) {
+  for (const Algorithm algorithm : kAllAlgorithms) {
     const ShardedMineResult mined = adopted.Mine(query, algorithm);
     EXPECT_EQ(testing::RankedSignature(mined.result),
               testing::RankedSignature(reference.Mine(query, algorithm)))
