@@ -3,13 +3,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 
 namespace phrasemine {
 
 /// Cooperative cancellation handle for one query. The service materializes
 /// one per deadline-carrying request and threads a pointer through
 /// MineOptions::cancel; every execution leg (NRA traversal, SMJ merges, SoA
-/// kernels, sharded scatter/fill, disk-tier charge points) polls it at block
+/// kernels, Exact/GM forward scans, sharded scatter/fill, disk-tier charge
+/// points) polls it at block
 /// granularity and unwinds with Status::DeadlineExceeded when it fires.
 ///
 /// Two trigger paths share one latch:
@@ -89,6 +91,11 @@ inline bool CancelRequested(const CancelToken* token) {
 inline bool CancelExpired(const CancelToken* token) {
   return token != nullptr && token->Expired();
 }
+
+/// Cancellation cadence of the count-based forward scans (ExactMiner,
+/// GmMiner and the fleet's exhaustive count scatter leg): one full check
+/// every kCancelDocStride sub-collection documents.
+inline constexpr std::size_t kCancelDocStride = 64;
 
 }  // namespace phrasemine
 

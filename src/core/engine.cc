@@ -350,9 +350,7 @@ WordListStats MiningEngine::word_list_stats() const {
   std::shared_lock lock(sync_->lists_mu);
   stats.entries = word_lists_->num_terms();
   stats.bytes = word_lists_->InMemoryBytes();
-  if (id_lists_ != nullptr) {
-    stats.bytes += id_lists_->TotalEntries() * kListEntryInMemoryBytes;
-  }
+  if (id_lists_ != nullptr) stats.bytes += id_lists_->MemoryBytes();
   return stats;
 }
 

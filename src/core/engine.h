@@ -148,7 +148,8 @@ struct WordListStats {
   /// Terms with a built score-ordered list.
   std::size_t entries = 0;
   /// Resident bytes of the score-ordered lists plus the id-ordered
-  /// (SMJ) entry runs built over them.
+  /// (SMJ) lists built over them: each id-ordered AoS entry run and its
+  /// SoA view (WordIdOrderedLists::MemoryBytes).
   std::size_t bytes = 0;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "common/cancel.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "testing/failpoint.h"
 
 namespace phrasemine {
 
@@ -64,12 +66,26 @@ MineResult ExactMiner::Mine(const Query& query, const MineOptions& options) {
   result.subcollection_size = subset.size();
 
   touched_.clear();
-  for (DocId d : subset) {
-    for (PhraseId p : forward_.Phrases(d, dict_)) {
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    if (i % kCancelDocStride == 0) {
+      if (failpoint::Enabled()) (void)PM_FAILPOINT("miner.count.poll");
+      if (CancelExpired(options.cancel)) {
+        result.status =
+            Status::DeadlineExceeded("deadline expired during Exact scan");
+        break;
+      }
+    }
+    for (PhraseId p : forward_.Phrases(subset[i], dict_)) {
       if (counts_[p] == 0) touched_.push_back(p);
       ++counts_[p];
       ++result.entries_read;
     }
+  }
+  if (!result.status.ok()) {
+    // Partial counts rank nothing; reset the scratch for the next query.
+    for (PhraseId p : touched_) counts_[p] = 0;
+    result.compute_ms = watch.ElapsedMillis();
+    return result;
   }
 
   TopKCollector collector(options.k);

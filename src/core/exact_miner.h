@@ -16,6 +16,10 @@ namespace phrasemine {
 /// method is evaluated against (Section 5.3) and is essentially the
 /// unoptimized forward-index method of Bedathur et al. [2].
 ///
+/// Polls MineOptions::cancel every kCancelDocStride sub-collection
+/// documents; on expiry it returns DeadlineExceeded with no phrases and
+/// its scratch reset.
+///
 /// Not thread-safe: reuses internal scratch between queries.
 class ExactMiner : public Miner {
  public:

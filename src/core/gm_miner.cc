@@ -1,7 +1,9 @@
 #include "core/gm_miner.h"
 
+#include "common/cancel.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "testing/failpoint.h"
 #include "core/exact_miner.h"
 
 namespace phrasemine {
@@ -21,7 +23,16 @@ MineResult GmMiner::Mine(const Query& query, const MineOptions& options) {
   result.subcollection_size = subset.size();
 
   touched_.clear();
-  for (DocId d : subset) {
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    if (i % kCancelDocStride == 0) {
+      if (failpoint::Enabled()) (void)PM_FAILPOINT("miner.count.poll");
+      if (CancelExpired(options.cancel)) {
+        result.status =
+            Status::DeadlineExceeded("deadline expired during GM scan");
+        break;
+      }
+    }
+    const DocId d = subset[i];
     for (PhraseId stored : forward_.stored(d)) {
       ++result.entries_read;
       // Count the stored phrase and all implied prefixes. The chain walk
@@ -35,6 +46,16 @@ MineResult GmMiner::Mine(const Query& query, const MineOptions& options) {
         p = dict_.info(p).parent;
       }
     }
+  }
+
+  if (!result.status.ok()) {
+    // Partial counts rank nothing; reset the scratch for the next query.
+    for (PhraseId p : touched_) {
+      counts_[p] = 0;
+      last_doc_[p] = kInvalidTermId;
+    }
+    result.compute_ms = watch.ElapsedMillis();
+    return result;
   }
 
   TopKCollector collector(options.k);

@@ -17,6 +17,10 @@ namespace phrasemine {
 /// match ExactMiner -- but the cost is linear in |D'|, which is precisely
 /// the weakness the paper's word-list methods attack.
 ///
+/// Polls MineOptions::cancel every kCancelDocStride sub-collection
+/// documents; on expiry it returns DeadlineExceeded with no phrases and
+/// its scratch reset.
+///
 /// Not thread-safe: reuses internal scratch between queries.
 class GmMiner : public Miner {
  public:

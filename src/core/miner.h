@@ -192,12 +192,13 @@ struct MineOptions {
   /// Optional cooperative cancellation token (common/cancel.h), polled at
   /// block granularity: NRA checks once per maintenance batch
   /// (nra_batch_size entry reads), SMJ/kernels once per merge block,
-  /// sharded mines at every scatter/fill leg boundary, and the disk tier's
+  /// Exact/GM once per kCancelDocStride sub-collection documents, sharded
+  /// mines at every scatter/fill leg boundary, and the disk tier's
   /// charge points via the cheap flag-only form. When it fires the mine
   /// stops where it is and returns MineResult::status = DeadlineExceeded
   /// with partial accounting. Null (the default) compiles to one branch
-  /// per block; the ranked output is bitwise unchanged. The count-based
-  /// miners (Exact/GM/Simitsis) do not poll it. Not part of cache keys;
+  /// per block; the ranked output is bitwise unchanged. Simitsis does not
+  /// poll it yet. Not part of cache keys;
   /// the caller keeps the token alive for the duration of the mine.
   const CancelToken* cancel = nullptr;
 };

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/check.h"
+#include "common/slot_table.h"
 #include "common/stopwatch.h"
 #include "core/delta_index.h"
 #include "core/exact_miner.h"
@@ -90,49 +90,66 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
     return l.pos < l.limit ? l.last_score : absent_score;
   };
 
-  std::unordered_map<PhraseId, Candidate> cands;
+  // Candidates live in flat parallel rows: ids[row] is the phrase,
+  // cands[row] its bookkeeping. The thread's dense slot table joins list
+  // entries to rows; every entry this mine sets is reset before return.
+  std::vector<PhraseId> ids;
+  std::vector<Candidate> cands;
+  std::vector<uint32_t>& slot = SlotTable(dict_.size());
   bool checknew = true;
   bool done = false;
   std::size_t reads_since_maintenance = 0;
   const std::size_t batch = std::max<std::size_t>(options.nra_batch_size, 1);
 
+  const uint32_t full_mask = r >= 32 ? ~0u : ((1u << r) - 1);
   auto candidate_lower = [&](const Candidate& c) {
     if (op == QueryOperator::kOr) return c.sum;
     // AND: unseen lists can contribute arbitrarily small log factors, so
     // only fully-seen candidates have a finite lower bound.
-    return c.mask == (r >= 32 ? ~0u : ((1u << r) - 1)) ? c.sum
-                                                       : kMinusInfinity;
+    return c.mask == full_mask ? c.sum : kMinusInfinity;
+  };
+  // Upper bounds read the per-list bounds as of the last snapshot_bounds().
+  std::vector<double> bounds(r);
+  auto snapshot_bounds = [&]() {
+    for (std::size_t i = 0; i < r; ++i) bounds[i] = list_bound(lists[i]);
   };
   auto candidate_upper = [&](const Candidate& c) {
     double upper = c.sum;
     for (std::size_t i = 0; i < r; ++i) {
-      if ((c.mask & (1u << i)) == 0) upper += list_bound(lists[i]);
+      if ((c.mask & (1u << i)) == 0) upper += bounds[i];
     }
     return upper;
   };
 
-  // Lines 10-13 of Algorithm 1, run once per batch of b reads.
+  // Lines 10-13 of Algorithm 1, run once per batch of b reads. Each
+  // candidate's bounds are computed once: `scratch` feeds the top-k
+  // selection and `uppers` (indexed by row) the line-12 prune.
   struct BoundedCandidate {
     double lower;
     double upper;
     PhraseId phrase;
   };
   std::vector<BoundedCandidate> scratch;
+  std::vector<double> uppers;
   auto maintenance = [&]() {
     if (options.k == 0) {
       done = true;
       return;
     }
+    snapshot_bounds();
     double unseen_bound = 0.0;
-    for (const ListState& l : lists) unseen_bound += list_bound(l);
+    for (std::size_t i = 0; i < r; ++i) unseen_bound += bounds[i];
 
-    scratch.clear();
-    scratch.reserve(cands.size());
-    for (const auto& [phrase, cand] : cands) {
-      scratch.push_back(BoundedCandidate{candidate_lower(cand),
-                                         candidate_upper(cand), phrase});
+    const std::size_t n = ids.size();
+    scratch.resize(n);
+    uppers.resize(n);
+    for (std::size_t row = 0; row < n; ++row) {
+      const double upper = candidate_upper(cands[row]);
+      uppers[row] = upper;
+      scratch[row] =
+          BoundedCandidate{candidate_lower(cands[row]), upper, ids[row]};
     }
-    if (scratch.size() < options.k) return;
+    if (n < options.k) return;
 
     // Identify the current top-k by lower bound (ties by id, matching the
     // result tie-break).
@@ -148,16 +165,29 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
     // Line 11: stop admitting unseen candidates once they cannot win.
     if (kth_lower >= unseen_bound) checknew = false;
 
-    // Line 12: drop candidates whose ceiling is below the k-th floor.
-    std::erase_if(cands, [&](const auto& kv) {
-      return candidate_upper(kv.second) < kth_lower;
-    });
+    // Line 12: drop candidates whose ceiling is below the k-th floor,
+    // compacting the rows in place and clearing the dropped slots.
+    std::size_t kept = 0;
+    for (std::size_t row = 0; row < n; ++row) {
+      if (uppers[row] < kth_lower) {
+        slot[ids[row]] = kNoSlot;
+        continue;
+      }
+      if (kept != row) {
+        ids[kept] = ids[row];
+        cands[kept] = cands[row];
+        slot[ids[kept]] = static_cast<uint32_t>(kept);
+      }
+      ++kept;
+    }
+    ids.resize(kept);
+    cands.resize(kept);
 
     // Line 13: the current top-k is final once no unseen phrase can beat
     // the k-th floor and no candidate outside the top-k can either.
     if (kth_lower >= unseen_bound) {
       double max_outside_upper = kMinusInfinity;
-      for (std::size_t i = options.k; i < scratch.size(); ++i) {
+      for (std::size_t i = options.k; i < n; ++i) {
         max_outside_upper = std::max(max_outside_upper, scratch[i].upper);
       }
       if (max_outside_upper <= kth_lower) done = true;
@@ -191,18 +221,20 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
       const double score = EntryScore(prob, op);
       l.last_score = score;
 
-      auto it = cands.find(entry.phrase);
-      if (it == cands.end()) {
+      uint32_t& row = slot[entry.phrase];
+      if (row == kNoSlot) {
         if (!checknew) continue;
-        it = cands.emplace(entry.phrase, Candidate{}).first;
+        row = static_cast<uint32_t>(ids.size());
+        ids.push_back(entry.phrase);
+        cands.push_back(Candidate{});
+        result.peak_candidates = std::max(result.peak_candidates, ids.size());
       }
-      Candidate& cand = it->second;
+      Candidate& cand = cands[row];
       const uint32_t bit = 1u << i;
       if ((cand.mask & bit) == 0) {
         cand.mask |= bit;
         cand.sum += score;
       }
-      result.peak_candidates = std::max(result.peak_candidates, cands.size());
 
       if (++reads_since_maintenance >= batch) {
         reads_since_maintenance = 0;
@@ -231,26 +263,27 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
   }
   const double traversal_end =
       trace != nullptr ? watch.ElapsedMillis() : 0.0;
+  for (const PhraseId phrase : ids) slot[phrase] = kNoSlot;
 
   // --- Result extraction (line 14) -------------------------------------------
   // Rank by upper bound as the paper prescribes, breaking upper-bound ties
   // by lower bound (confirmed scores ahead of same-ceiling unconfirmed
   // ones), then by id. After a full traversal lower == upper for every
   // surviving candidate, so this is simply rank-by-score.
-  std::vector<std::pair<const PhraseId, Candidate>*> ranked;
-  ranked.reserve(cands.size());
-  for (auto& kv : cands) {
-    if (candidate_upper(kv.second) == kMinusInfinity) continue;  // score 0
-    ranked.push_back(&kv);
+  snapshot_bounds();
+  std::vector<BoundedCandidate>& ranked = scratch;  // maintenance is over
+  ranked.clear();
+  for (std::size_t row = 0; row < ids.size(); ++row) {
+    const double upper = candidate_upper(cands[row]);
+    if (upper == kMinusInfinity) continue;  // score 0
+    ranked.push_back(
+        BoundedCandidate{candidate_lower(cands[row]), upper, ids[row]});
   }
-  const auto rank_order = [&](const auto* a, const auto* b) {
-    const double ua = candidate_upper(a->second);
-    const double ub = candidate_upper(b->second);
-    if (ua != ub) return ua > ub;
-    const double la = candidate_lower(a->second);
-    const double lb = candidate_lower(b->second);
-    if (la != lb) return la > lb;
-    return a->first < b->first;
+  const auto rank_order = [](const BoundedCandidate& a,
+                             const BoundedCandidate& b) {
+    if (a.upper != b.upper) return a.upper > b.upper;
+    if (a.lower != b.lower) return a.lower > b.lower;
+    return a.phrase < b.phrase;
   };
   // Only the top k are returned, so a heap-select beats fully sorting the
   // surviving candidate set; the id tie-break makes rank_order a strict
@@ -263,10 +296,9 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
   } else {
     std::sort(ranked.begin(), ranked.end(), rank_order);
   }
-  for (const auto* kv : ranked) {
-    const double upper = candidate_upper(kv->second);
-    result.phrases.push_back(MinedPhrase{
-        kv->first, upper, ScoreToInterestingness(upper, op)});
+  for (const BoundedCandidate& c : ranked) {
+    result.phrases.push_back(
+        MinedPhrase{c.phrase, c.upper, ScoreToInterestingness(c.upper, op)});
   }
 
   if (disk_lists_ != nullptr && options.charge_phrase_lookups &&

@@ -273,4 +273,13 @@ std::size_t WordIdOrderedLists::TotalEntries() const {
   return total;
 }
 
+std::size_t WordIdOrderedLists::MemoryBytes() const {
+  std::size_t total = 0;
+  for (const auto& [term, stored] : lists_) {
+    total += stored.entries->size() * kListEntryInMemoryBytes +
+             stored.soa->MemoryBytes();
+  }
+  return total;
+}
+
 }  // namespace phrasemine

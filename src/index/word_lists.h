@@ -199,6 +199,10 @@ class WordIdOrderedLists {
   double fraction() const { return fraction_; }
   std::size_t TotalEntries() const;
 
+  /// Resident bytes: every term's AoS entry run plus its SoA view
+  /// (SoABlockList::MemoryBytes).
+  std::size_t MemoryBytes() const;
+
  private:
   struct Stored {
     SharedWordList entries;

@@ -12,6 +12,7 @@
 #include "common/cancel.h"
 #include "common/check.h"
 #include "common/io_util.h"
+#include "common/slot_table.h"
 #include "common/stopwatch.h"
 #include "core/delta_index.h"
 #include "core/interestingness.h"
@@ -158,26 +159,10 @@ const DeltaIndex* PendingDelta(const EpochDelta& snap) {
              : nullptr;
 }
 
-/// Cancellation cadence of the exhaustive scatter legs: a count leg polls
-/// the token every kDocsPerPoll sub-collection documents, a list leg every
-/// kEntriesPerPoll folded list entries.
-constexpr std::size_t kDocsPerPoll = 64;
+/// Cancellation cadence of the exhaustive list scatter leg: it polls the
+/// token every kEntriesPerPoll folded list entries (the count leg polls
+/// every kCancelDocStride sub-collection documents).
 constexpr uint64_t kEntriesPerPoll = 1024;
-
-constexpr uint32_t kNoSlot = UINT32_MAX;
-
-/// The calling thread's dense PhraseId -> slot join table, at least
-/// `size` entries. Ids index the frozen global set, so a dense table beats
-/// hashing (candidate unions reach thousands of entries on OR queries).
-/// Grow-only scratch that is all-kNoSlot between uses: every user resets
-/// the entries it set before it returns, so a query pays neither a
-/// dictionary-sized allocation nor a clear. No user nests inside another
-/// on one thread.
-std::vector<uint32_t>& SlotTable(std::size_t size) {
-  thread_local std::vector<uint32_t> table;
-  if (table.size() < size) table.resize(size, kNoSlot);
-  return table;
-}
 
 // Every scatter/fill helper below validates the shard's structure
 // generation against the caller's snapshot under the shared structure
@@ -215,7 +200,7 @@ bool CountScatter(MiningEngine& engine, const Query& query,
     const ForwardIndex& forward = engine.forward();
     std::vector<PhraseId> touched;
     for (std::size_t i = 0; i < subset.size(); ++i) {
-      if (i % kDocsPerPoll == 0 && CancelExpired(cancel)) {
+      if (i % kCancelDocStride == 0 && CancelExpired(cancel)) {
         out->status = Status::DeadlineExceeded(
             "deadline expired during sharded scatter");
         break;

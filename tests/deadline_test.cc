@@ -151,6 +151,60 @@ TEST(DeadlineTest, UnfiredDeadlineIsBitwiseInvisible) {
   }
 }
 
+TEST(DeadlineTest, CountMinersPollTheToken) {
+  // The monolithic count miners poll every kCancelDocStride
+  // sub-collection documents: a deadline that fires mid-scan stops the
+  // forward scan within two poll intervals, and the abort leaves no dirty
+  // scratch counts behind -- the next mine of the same query is bitwise
+  // the one before it, as is a mine under a token that never fires.
+  MiningEngine engine = MakeSmallEngine();
+  const Query query = HeavyQuery(engine);
+  // A poll interval reads at most kCancelDocStride full forward lists.
+  std::size_t longest_doc = 0;
+  for (DocId d = 0; d < engine.forward().num_docs(); ++d) {
+    longest_doc = std::max(longest_doc, engine.forward().stored(d).size());
+  }
+  const double interval =
+      static_cast<double>(kCancelDocStride * longest_doc);
+  // Rank every counted phrase, so one miscounted phrase shows.
+  const MineOptions all{.k = 1'000'000};
+  for (const Algorithm algorithm : {Algorithm::kExact, Algorithm::kGm}) {
+    const char* name = AlgorithmName(algorithm);
+    const MineResult before = engine.Mine(query, algorithm, all);
+    ASSERT_TRUE(before.status.ok()) << name;
+    ASSERT_FALSE(before.phrases.empty()) << name;
+    // The scan spans more than two intervals, so the bound below bites.
+    ASSERT_GT(before.subcollection_size, 2 * kCancelDocStride) << name;
+
+    // Polls 0 and 1 pass at once; poll 2 stalls past the deadline, so the
+    // scan stops with two intervals' counts in its scratch.
+    failpoint::Arm("miner.count.poll",
+                   {.delay_ms = 100.0, .max_hits = 1, .skip_first = 2});
+    const CancelToken deadline = CancelToken::AfterMillis(50.0);
+    MineOptions timed = all;
+    timed.cancel = &deadline;
+    const MineResult aborted = engine.Mine(query, algorithm, timed);
+    failpoint::DisarmAll();
+    EXPECT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded) << name;
+    EXPECT_GT(aborted.entries_read, 0u) << name;
+    EXPECT_LE(static_cast<double>(aborted.entries_read), 2.0 * interval)
+        << name;
+    EXPECT_TRUE(aborted.phrases.empty()) << name;
+
+    const MineResult after = engine.Mine(query, algorithm, all);
+    EXPECT_EQ(RankedSignature(before), RankedSignature(after)) << name;
+    EXPECT_EQ(before.entries_read, after.entries_read) << name;
+
+    const CancelToken generous = CancelToken::AfterMillis(600'000.0);
+    MineOptions untimed = all;
+    untimed.cancel = &generous;
+    const MineResult polled = engine.Mine(query, algorithm, untimed);
+    EXPECT_TRUE(polled.status.ok()) << name;
+    EXPECT_EQ(RankedSignature(before), RankedSignature(polled)) << name;
+    EXPECT_EQ(before.entries_read, polled.entries_read) << name;
+  }
+}
+
 TEST(DeadlineTest, RunningShardedMineCancelsWithinTwoBatches) {
   // The acceptance bound: an expiring deadline stops a *running* sharded
   // mine within two block-check intervals per shard leg, asserted via the

@@ -2,9 +2,12 @@
 // snapshot persistence, and end-to-end agreement after a save/load cycle.
 
 #include <cstdio>
+#include <vector>
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
+#include "index/list_entry.h"
+#include "index/word_lists.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -51,6 +54,31 @@ TEST(EngineTest, SetSmjFractionRebuildsIdLists) {
   MineResult small = engine.Mine(q.value(), Algorithm::kSmj);
   EXPECT_DOUBLE_EQ(engine.smj_fraction(), 0.1);
   EXPECT_LE(small.entries_read, full.entries_read);
+}
+
+TEST(EngineTest, WordListBytesCountEveryResidentForm) {
+  MiningEngine engine = testing::MakeTinyEngine();
+  std::vector<TermId> terms;
+  for (const char* text : {"query optimization", "db"}) {
+    auto q = engine.ParseQuery(text, QueryOperator::kOr);
+    ASSERT_TRUE(q.ok());
+    (void)engine.Mine(q.value(), Algorithm::kSmj);
+    terms.insert(terms.end(), q.value().terms.begin(), q.value().terms.end());
+  }
+  ASSERT_EQ(terms.size(), 3u);
+  // Score-ordered runs, plus each id-ordered list's AoS run and SoA view.
+  const WordIdOrderedLists* id_lists = engine.id_ordered_lists();
+  ASSERT_NE(id_lists, nullptr);
+  std::size_t expected = engine.word_lists().InMemoryBytes();
+  std::size_t aos_only = expected;
+  for (TermId t : terms) {
+    ASSERT_NE(id_lists->soa(t), nullptr);
+    const std::size_t run = id_lists->list(t).size() * kListEntryInMemoryBytes;
+    expected += run + id_lists->soa(t)->MemoryBytes();
+    aos_only += run;
+  }
+  EXPECT_GT(expected, aos_only);
+  EXPECT_EQ(engine.word_list_stats().bytes, expected);
 }
 
 TEST(EngineTest, PhraseTextServedFromSlotFile) {

@@ -4,12 +4,19 @@
 
 #include "core/nra_miner.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/engine.h"
 #include "core/smj_miner.h"
 #include "eval/query_gen.h"
 #include "gtest/gtest.h"
 #include "index/word_lists.h"
 #include "phrase/phrase_dictionary.h"
 #include "phrase/phrase_extractor.h"
+#include "storage/index_file.h"
 #include "test_util.h"
 #include "text/corpus.h"
 
@@ -195,6 +202,77 @@ TEST(NraDetailTest, UnknownTermListYieldsEmptyForAnd) {
   for (const MinedPhrase& p : r.phrases) {
     EXPECT_GT(p.interestingness, 0.0);
   }
+}
+
+/// Pins everything an NRA mine reports -- ranked ids, score and
+/// interestingness bits, entries read, peak candidates and the traversal
+/// fraction -- over both NRA variants, both operators, full and partial
+/// lists, per-entry and default maintenance cadence, fresh and under a
+/// pending delta overlay. Any change to the candidate bookkeeping that
+/// moves one bit of output or one counter changes the digest.
+TEST(NraDetailTest, OutputIsPinned) {
+  MiningEngineOptions options;
+  options.extractor.min_df = 3;
+  MiningEngine engine =
+      MiningEngine::Build(testing::MakeSmallSyntheticCorpus(600), options);
+  QueryGenOptions gen;
+  gen.num_queries = 6;
+  gen.min_term_df = 8;
+  gen.min_pairwise_codf = 3;
+  gen.min_and_matches = 3;
+  const std::vector<Query> queries = QuerySetGenerator(gen).Generate(
+      engine.dict(), engine.inverted(), engine.corpus().size());
+  ASSERT_FALSE(queries.empty());
+
+  std::vector<uint64_t> words;
+  auto mine_all = [&] {
+    for (const Algorithm algorithm : {Algorithm::kNra, Algorithm::kNraDisk}) {
+      for (const Query& base : queries) {
+        for (const QueryOperator op :
+             {QueryOperator::kAnd, QueryOperator::kOr}) {
+          for (const double fraction : {1.0, 0.5}) {
+            for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
+              Query query = base;
+              query.op = op;
+              const MineResult mined = engine.Mine(
+                  query, algorithm,
+                  MineOptions{.k = 5,
+                              .list_fraction = fraction,
+                              .nra_batch_size = batch});
+              ASSERT_TRUE(mined.status.ok());
+              for (const MinedPhrase& p : mined.phrases) {
+                words.push_back(p.phrase);
+                words.push_back(std::bit_cast<uint64_t>(p.score));
+                words.push_back(std::bit_cast<uint64_t>(p.interestingness));
+              }
+              words.push_back(mined.entries_read);
+              words.push_back(mined.peak_candidates);
+              words.push_back(
+                  std::bit_cast<uint64_t>(mined.lists_traversed_fraction));
+            }
+          }
+        }
+      }
+    }
+  };
+  mine_all();
+  // Re-insert copies of the first documents and delete two: the overlay
+  // moves conditional probabilities on every query term.
+  UpdateBatch batch;
+  for (DocId d = 0; d < 20; ++d) {
+    UpdateDoc doc;
+    for (TermId t : engine.corpus().doc(d).tokens) {
+      doc.tokens.push_back(std::string(engine.corpus().vocab().TermText(t)));
+    }
+    batch.inserts.push_back(std::move(doc));
+  }
+  batch.deletes = {2, 4};
+  ASSERT_GT(engine.ApplyUpdate(batch).pending_updates, 0u);
+  mine_all();
+  const uint64_t digest =
+      Fnv1a64(reinterpret_cast<const uint8_t*>(words.data()),
+              words.size() * sizeof(uint64_t));
+  EXPECT_EQ(digest, 0x77dbaadb9aa2bb0dull) << std::hex << digest;
 }
 
 }  // namespace
