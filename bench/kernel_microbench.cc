@@ -1,10 +1,12 @@
 // Hot-path kernel microbenchmark: the SoA galloping/block merge kernels
 // against the scalar AoS reference merge, on synthetic id-ordered word
 // lists, for AND and OR queries over skewed (1:100 short-vs-long) and
-// uniform list-length mixes. Both paths run through the real SmjMiner (the
-// scalar side via MineOptions::use_kernels = false), so the measured gap
-// is the data-layout + galloping win, not harness differences, and the
-// differential tests guarantee both produce bitwise-identical rankings.
+// uniform list-length mixes. The kernel side runs the real SmjMiner over
+// SoA lists; the scalar side runs the textbook Algorithm 2 merge from the
+// test tree (tests/smj_reference.h) over AoS copies of the same lists,
+// with the same scoring and top-k collector, so the measured gap is the
+// data-layout + galloping win, and the differential tests guarantee both
+// produce bitwise-identical rankings.
 //
 // Acceptance target: >= 2x AND-query throughput on the skewed mix (the
 // galloping intersection drives from the short list and skips most of the
@@ -32,6 +34,7 @@
 #include "core/smj_miner.h"
 #include "index/word_lists.h"
 #include "phrase/phrase_dictionary.h"
+#include "smj_reference.h"
 
 namespace phrasemine::bench {
 namespace {
@@ -39,9 +42,10 @@ namespace {
 /// Sorted unique synthetic list over a sparse id universe. `overlap`
 /// entries are copied from `base` (when given) so AND intersections are
 /// non-trivial.
-SharedWordList MakeList(Rng& rng, std::size_t size, PhraseId universe,
-                        const std::vector<ListEntry>* base,
-                        std::size_t overlap) {
+std::vector<ListEntry> MakeList(Rng& rng, std::size_t size,
+                                PhraseId universe,
+                                const std::vector<ListEntry>* base,
+                                std::size_t overlap) {
   std::vector<ListEntry> entries;
   entries.reserve(size + overlap);
   for (std::size_t i = 0; i < size; ++i) {
@@ -62,12 +66,13 @@ SharedWordList MakeList(Rng& rng, std::size_t size, PhraseId universe,
                               return a.phrase == b.phrase;
                             }),
                 entries.end());
-  return std::make_shared<const std::vector<ListEntry>>(std::move(entries));
+  return entries;
 }
 
 struct Case {
   std::string name;
-  WordIdOrderedLists lists{1.0};
+  std::vector<std::vector<ListEntry>> aos;  // scalar side, one per term
+  WordIdOrderedLists lists{1.0};            // kernel side, SoA
   Query query;
   double scalar_qps = 0.0;
   double kernel_qps = 0.0;
@@ -79,32 +84,30 @@ Case MakeCase(std::string name, Rng& rng, QueryOperator op,
   Case c;
   c.name = std::move(name);
   c.query.op = op;
-  const std::vector<ListEntry>* anchor = nullptr;
-  SharedWordList first;
+  c.aos.reserve(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     // Every later list absorbs a slice of the first so the AND join has
     // survivors to score (~half the short list).
-    SharedWordList list = MakeList(rng, sizes[i], universe, anchor,
-                                   anchor != nullptr ? sizes[0] / 2 : 0);
-    if (i == 0) {
-      first = list;
-      anchor = first.get();
-    }
-    c.lists.Insert(static_cast<TermId>(i), std::move(list));
+    c.aos.push_back(MakeList(rng, sizes[i], universe,
+                             i == 0 ? nullptr : &c.aos[0],
+                             i == 0 ? 0 : sizes[0] / 2));
+    c.lists.Insert(static_cast<TermId>(i),
+                   std::make_shared<const SoABlockList>(
+                       SoABlockList::FromIdOrdered(c.aos[i])));
     c.query.terms.push_back(static_cast<TermId>(i));
   }
   return c;
 }
 
-/// Queries/second of one SmjMiner configuration, measured over a fixed
-/// wall budget (first call excluded as warmup).
-double MeasureQps(SmjMiner& miner, const Query& query,
-                  const MineOptions& options, double budget_ms) {
-  (void)miner.Mine(query, options);
+/// Queries/second of one mine callable, measured over a fixed wall budget
+/// (first call excluded as warmup).
+template <typename MineFn>
+double MeasureQps(MineFn&& mine, double budget_ms) {
+  (void)mine();
   StopWatch watch;
   std::size_t iterations = 0;
   do {
-    (void)miner.Mine(query, options);
+    (void)mine();
     ++iterations;
   } while (watch.ElapsedMillis() < budget_ms);
   return 1000.0 * static_cast<double>(iterations) / watch.ElapsedMillis();
@@ -153,12 +156,15 @@ int Main() {
   double and_skewed_kernel_qps = 0.0;
   for (Case& c : cases) {
     SmjMiner miner(c.lists, dict);
-    MineOptions scalar{.k = 10};
-    scalar.use_kernels = false;
-    MineOptions kernel{.k = 10};
-    kernel.use_kernels = true;
-    c.scalar_qps = MeasureQps(miner, c.query, scalar, budget_ms);
-    c.kernel_qps = MeasureQps(miner, c.query, kernel, budget_ms);
+    const MineOptions options{.k = 10};
+    c.scalar_qps = MeasureQps(
+        [&] {
+          return testing::ReferenceSmjMine(c.query, c.aos, options.k,
+                                           options.or_order);
+        },
+        budget_ms);
+    c.kernel_qps =
+        MeasureQps([&] { return miner.Mine(c.query, options); }, budget_ms);
     c.speedup = c.scalar_qps > 0.0 ? c.kernel_qps / c.scalar_qps : 0.0;
     if (c.name == "and_skewed") {
       and_skewed_speedup = c.speedup;

@@ -92,9 +92,10 @@ inline bool CancelExpired(const CancelToken* token) {
   return token != nullptr && token->Expired();
 }
 
-/// Cancellation cadence of the count-based forward scans (ExactMiner,
-/// GmMiner and the fleet's exhaustive count scatter leg): one full check
-/// every kCancelDocStride sub-collection documents.
+/// Cancellation cadence of the count-based scans (ExactMiner, GmMiner and
+/// the fleet's count scatter and fill legs: one full check every
+/// kCancelDocStride sub-collection documents; SimitsisMiner: one every
+/// kCancelDocStride posting-list documents read).
 inline constexpr std::size_t kCancelDocStride = 64;
 
 }  // namespace phrasemine

@@ -80,16 +80,13 @@ double DeltaIndex::AdjustedProb(TermId w, PhraseId p,
 }
 
 std::vector<ListEntry> DeltaIndex::ExtraIdOrderedEntries(
-    TermId w, std::span<const ListEntry> id_ordered_base) const {
+    TermId w, std::span<const PhraseId> base_ids) const {
   std::vector<ListEntry> extras;
   auto term_it = co_delta_.find(w);
   if (term_it == co_delta_.end()) return extras;
   for (const auto& [p, co] : term_it->second) {
     if (co <= 0) continue;  // Base-positive or net-removed: nothing new.
-    auto pos = std::lower_bound(
-        id_ordered_base.begin(), id_ordered_base.end(), p,
-        [](const ListEntry& e, PhraseId id) { return e.phrase < id; });
-    if (pos != id_ordered_base.end() && pos->phrase == p) continue;
+    if (std::binary_search(base_ids.begin(), base_ids.end(), p)) continue;
     if (AdjustedProb(w, p, 0.0) <= 0.0) continue;
     extras.push_back(ListEntry{p, 0.0});
   }
@@ -100,14 +97,14 @@ std::vector<ListEntry> DeltaIndex::ExtraIdOrderedEntries(
   return extras;
 }
 
-SharedWordList DeltaIndex::OverlayIdOrdered(TermId term,
-                                            SharedWordList base) const {
-  if (base == nullptr) {
-    base = std::make_shared<const std::vector<ListEntry>>();
-  }
-  std::vector<ListEntry> extras = ExtraIdOrderedEntries(term, *base);
+SharedSoAList DeltaIndex::OverlayIdOrdered(TermId term,
+                                           SharedSoAList base) const {
+  if (base == nullptr) base = std::make_shared<const SoABlockList>();
+  const std::vector<ListEntry> extras = ExtraIdOrderedEntries(
+      term, std::span<const PhraseId>(base->ids(), base->size()));
   if (extras.empty()) return base;
-  return WordIdOrderedLists::MergeById(*base, extras);
+  return std::make_shared<const SoABlockList>(
+      SoABlockList::Merged(*base, extras));
 }
 
 }  // namespace phrasemine

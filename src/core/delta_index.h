@@ -78,24 +78,24 @@ class DeltaIndex {
   /// through updates -- they are absent from the stored word list (which
   /// only holds base-positive pairs), so the merge-based miners would never
   /// see them. Returned id-ordered with stored prob 0 (the correct base
-  /// value), ready to merge into an id-ordered list via
-  /// WordIdOrderedLists::MergeById; AdjustedProb then recovers the true
-  /// probability at read time. `id_ordered_base` must be sorted by phrase
-  /// id. This is what keeps SMJ exact under inserts that create new
-  /// co-occurrences of base-dictionary phrases -- over *full* lists only:
-  /// a truncated prefix (smj_fraction < 1) hides base-positive pairs, so
-  /// an extra synthesized against it carries base count 0 instead of the
-  /// hidden base count, and truncated SMJ stays approximate under updates
-  /// (results are stamped accordingly).
+  /// value); AdjustedProb then recovers the true probability at read time.
+  /// `base_ids` is the stored id-ordered list's id array (strictly
+  /// increasing). This is what keeps SMJ exact under inserts that create
+  /// new co-occurrences of base-dictionary phrases -- over *full* lists
+  /// only: a truncated prefix (smj_fraction < 1) hides base-positive
+  /// pairs, so an extra synthesized against it carries base count 0
+  /// instead of the hidden base count, and truncated SMJ stays approximate
+  /// under updates (results are stamped accordingly).
   std::vector<ListEntry> ExtraIdOrderedEntries(
-      TermId w, std::span<const ListEntry> id_ordered_base) const;
+      TermId w, std::span<const PhraseId> base_ids) const;
 
   /// Overlays this delta onto one stored id-ordered list: the base entries
-  /// plus the delta-only extras for `term`. `base` may be null (term has
-  /// no stored list); the result is never null, and is `base` itself when
-  /// the overlay adds nothing. MiningEngine's SMJ bundle assembly uses it
-  /// so the exactness-critical merge has exactly one implementation.
-  SharedWordList OverlayIdOrdered(TermId term, SharedWordList base) const;
+  /// plus the delta-only extras for `term`, in one SoA merge. `base` may
+  /// be null (term has no stored list); the result is never null, and is
+  /// `base` itself when the overlay adds nothing. MiningEngine's SMJ
+  /// bundle assembly uses it so the exactness-critical merge has exactly
+  /// one implementation.
+  SharedSoAList OverlayIdOrdered(TermId term, SharedSoAList base) const;
 
   /// Number of Add/Remove calls absorbed since construction; drives the
   /// "flush and rebuild offline" policy.

@@ -364,46 +364,45 @@ void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
 
 void MiningEngine::EnsureIdOrderedLists(std::span<const TermId> terms) {
   // Per term, like the score lists: only the terms SMJ actually mines pay
-  // for an id-ordered copy and its SoA view. Retried when a rebuild or a
-  // fraction change lands between the build and the insert.
+  // for an id-ordered SoA list. Retried when a rebuild or a fraction
+  // change lands between the build and the insert.
   for (;;) {
     EnsureWordLists(terms);
     uint64_t generation;
     double fraction;
-    std::vector<std::pair<TermId, SharedWordList>> built;
+    std::vector<std::pair<TermId, SharedSoAList>> built;
     {
       // The common case -- every term already present -- stays on the
-      // shared lock: the sharded scatter/fill rounds call this per shard
-      // per query, and an exclusive lock would serialize them against
-      // every concurrent mine.
+      // shared lock: the sharded scatter/fill rounds and the subscription
+      // rescore call this per shard, and an exclusive lock would
+      // serialize them against every concurrent mine.
       std::shared_lock lock(sync_->lists_mu);
       generation = generation_;
       fraction = smj_fraction_;
       for (TermId t : terms) {
         if (id_lists_ != nullptr && id_lists_->Has(t)) continue;
         if (!word_lists_->Has(t)) continue;  // a rebuild raced: caller rechecks
-        built.emplace_back(t, WordIdOrderedLists::IdOrderPrefix(
+        built.emplace_back(t, WordIdOrderedLists::PackPrefix(
                                   word_lists_->Partial(t, fraction)));
       }
     }
     if (built.empty()) return;
-    std::vector<SharedSoAList> views;
-    views.reserve(built.size());
-    for (const auto& [t, list] : built) {
-      views.push_back(std::make_shared<const SoABlockList>(
-          SoABlockList::FromIdOrdered(std::span<const ListEntry>(*list))));
-    }
     std::unique_lock lock(sync_->lists_mu);
     if (generation_ != generation || smj_fraction_ != fraction) continue;
     if (id_lists_ == nullptr) {
       id_lists_ = std::make_unique<WordIdOrderedLists>(fraction);
     }
-    for (std::size_t i = 0; i < built.size(); ++i) {
-      id_lists_->Insert(built[i].first, std::move(built[i].second),
-                        std::move(views[i]));
-    }
+    for (auto& [t, list] : built) id_lists_->Insert(t, std::move(list));
     return;
   }
+}
+
+SharedSoAList MiningEngine::FullIdOrderedListLocked(TermId term) const {
+  if (id_lists_ != nullptr && id_lists_->fraction() >= 1.0) {
+    if (SharedSoAList cached = id_lists_->shared_soa(term)) return cached;
+  }
+  if (!word_lists_->Has(term)) return nullptr;
+  return WordIdOrderedLists::PackPrefix(word_lists_->list(term));
 }
 
 void MiningEngine::InvalidateDerivedLists() {
@@ -578,16 +577,8 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         // updates -- without them SMJ could not stay exact (Section 4.5.1).
         WordIdOrderedLists bundle(smj_fraction_);
         for (TermId t : query.terms) {
-          const SharedWordList base = id_lists_->shared(t);
-          SharedWordList overlaid =
-              effective.delta->OverlayIdOrdered(t, base);
-          // The overlay returns the base pointer untouched when the term
-          // has no delta-only extras; reuse the cached SoA view then
-          // instead of re-packing the whole list per query.
-          SharedSoAList soa = overlaid == base && base != nullptr
-                                  ? id_lists_->shared_soa(t)
-                                  : nullptr;
-          bundle.Insert(t, std::move(overlaid), std::move(soa));
+          bundle.Insert(t, effective.delta->OverlayIdOrdered(
+                               t, id_lists_->shared_soa(t)));
         }
         SmjMiner miner(bundle, dict_);
         result = miner.Mine(query, effective);

@@ -148,8 +148,7 @@ struct WordListStats {
   /// Terms with a built score-ordered list.
   std::size_t entries = 0;
   /// Resident bytes of the score-ordered lists plus the id-ordered
-  /// (SMJ) lists built over them: each id-ordered AoS entry run and its
-  /// SoA view (WordIdOrderedLists::MemoryBytes).
+  /// (SMJ) SoA lists built over them (WordIdOrderedLists::MemoryBytes).
   std::size_t bytes = 0;
 };
 
@@ -385,8 +384,8 @@ class MiningEngine {
   /// construction (every Build/LoadFromFile) and reassigned by every
   /// Rebuild. Unlike list_generation() -- which restarts at 0 for every
   /// new engine instance -- this value never repeats within a process, so
-  /// caches that may outlive an engine replacement (the subscription
-  /// layer's base-list cache across a ShardedEngine dictionary refresh,
+  /// state that may outlive an engine replacement (the subscription
+  /// layer's shadow top-k across a ShardedEngine dictionary refresh,
   /// which swaps in whole new shard engines) can key on it safely.
   uint64_t structure_version() const;
 
@@ -421,13 +420,21 @@ class MiningEngine {
   /// Ensures lists exist for every term of every query (harness helper).
   void EnsureWordListsFor(std::span<const Query> queries);
 
-  /// Ensures the id-ordered SMJ lists (and their SoA kernel views) exist
-  /// for these terms at the current construction fraction -- the same
-  /// per-term structures an SMJ mine builds on first use (only mined
-  /// terms get one). ShardedEngine's list scatter/fill rounds call this so
-  /// their kernels run on the cached id-ordered lists instead of
+  /// Ensures the id-ordered SMJ lists exist for these terms at the
+  /// current construction fraction -- the same per-term SoA lists an SMJ
+  /// mine builds on first use (only mined terms get one). ShardedEngine's
+  /// list scatter/fill rounds and the subscription rescore call this so
+  /// FullIdOrderedListLocked hands them the cached lists instead of
   /// re-sorting score-ordered ones per query.
   void EnsureIdOrderedLists(std::span<const TermId> terms);
+
+  /// A term's full-fraction id-ordered SoA list, the one support-lookup
+  /// input of the fleet's list legs and the subscription rescore: the
+  /// cached list when the id-ordered lists are at fraction 1, otherwise
+  /// one packed on the spot from the term's full score-ordered list.
+  /// nullptr when the term has no score-ordered list. Caller must hold
+  /// the shared structure lock (WithSharedStructures).
+  SharedSoAList FullIdOrderedListLocked(TermId term) const;
 
   /// Rebuilds the SMJ id-ordered lists at this construction fraction
   /// (Section 4.4.1: a construction-time decision).
@@ -499,15 +506,6 @@ class MiningEngine {
   /// Unsynchronized view of the lazily built word lists; see the class
   /// threading contract before reading this concurrently.
   const WordScoreLists& word_lists() const { return *word_lists_; }
-
-  /// The cached id-ordered SMJ lists at the current fraction -- one per
-  /// term an SMJ mine or EnsureIdOrderedLists asked for -- or nullptr
-  /// before the first (and right after a rebuild or fraction change).
-  /// Read only under WithSharedStructures, and check Has(term) there: the
-  /// caller must fall back to the score-ordered lists when absent.
-  const WordIdOrderedLists* id_ordered_lists() const {
-    return id_lists_.get();
-  }
 
   /// Phrase posting index, built lazily (only the Simitsis baseline uses
   /// it). Not rebuild-safe: the reference is invalidated by Rebuild().

@@ -116,11 +116,11 @@ uint64_t GallopingAndJoin(std::span<const SoABlockList* const> lists,
 /// increasing id order, as
 ///     emit(PhraseId id, const double* probs, uint32_t present_mask)
 /// with probs[i] = list i's probability when bit i of present_mask is set
-/// and 0.0 otherwise -- exactly the per-term vector the scalar SMJ merge
+/// and 0.0 otherwise -- exactly the per-term vector the textbook SMJ merge
 /// assembles, so downstream scoring is bitwise identical. The outer loop
 /// advances one skip-header boundary at a time so the inner merge runs
 /// over resident blocks. Returns total entries consumed (= the sum of
-/// list lengths, matching the scalar merge's entries_read).
+/// list lengths, matching the textbook merge's entries_read).
 ///
 /// `cancel` (optional) is polled at every skip-block boundary -- the
 /// literal "block granularity" check; an expired token ends the merge with

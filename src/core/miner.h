@@ -169,12 +169,6 @@ struct MineOptions {
   /// the router's in-memory phrase file at the gather -- the sharded
   /// device model covers word-list I/O only. See docs/disk_tier.md.
   bool charge_phrase_lookups = true;
-  /// Routes SMJ through the SoA merge kernels (core/kernels.h). The
-  /// kernel and scalar paths are bitwise identical in ranked output (the
-  /// differential tests prove it, delta overlays included); the scalar
-  /// path exists as the reference those tests pit the kernels against and
-  /// as the portable fallback. Leave this on outside of such tests.
-  bool use_kernels = true;
   /// Interestingness formulation for the count-based miners (Exact, GM,
   /// Simitsis). The list-based methods (NRA/SMJ) are derived from the
   /// normalized-frequency measure and ignore this; extending the
@@ -192,14 +186,15 @@ struct MineOptions {
   /// Optional cooperative cancellation token (common/cancel.h), polled at
   /// block granularity: NRA checks once per maintenance batch
   /// (nra_batch_size entry reads), SMJ/kernels once per merge block,
-  /// Exact/GM once per kCancelDocStride sub-collection documents, sharded
-  /// mines at every scatter/fill leg boundary, and the disk tier's
-  /// charge points via the cheap flag-only form. When it fires the mine
-  /// stops where it is and returns MineResult::status = DeadlineExceeded
-  /// with partial accounting. Null (the default) compiles to one branch
-  /// per block; the ranked output is bitwise unchanged. Simitsis does not
-  /// poll it yet. Not part of cache keys;
-  /// the caller keeps the token alive for the duration of the mine.
+  /// Exact/GM once per kCancelDocStride sub-collection documents,
+  /// Simitsis once per kCancelDocStride posting-list documents, sharded
+  /// mines at every scatter/fill leg boundary and inside their scans,
+  /// and the disk tier's charge points via the cheap flag-only form.
+  /// When it fires the mine stops where it is and returns
+  /// MineResult::status = DeadlineExceeded with partial accounting. Null
+  /// (the default) compiles to one branch per block; the ranked output is
+  /// bitwise unchanged. Not part of cache keys; the caller keeps the
+  /// token alive for the duration of the mine.
   const CancelToken* cancel = nullptr;
 };
 

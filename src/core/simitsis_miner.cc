@@ -4,8 +4,10 @@
 #include <queue>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/stopwatch.h"
 #include "core/exact_miner.h"
+#include "testing/failpoint.h"
 
 namespace phrasemine {
 
@@ -38,11 +40,23 @@ MineResult SimitsisMiner::Mine(const Query& query,
   };
   std::vector<Candidate> candidates;
   std::size_t scanned = 0;
+  std::size_t next_poll = 0;  // entries_read at which the token is polled
   for (PhraseId p : postings_.by_cardinality()) {
     const std::span<const DocId> docs = postings_.docs(p);
     if (best_counts.size() >= options.k && !best_counts.empty() &&
         docs.size() < best_counts.top()) {
       break;  // All remaining lists are at most this long.
+    }
+    if (result.entries_read >= next_poll) {
+      if (failpoint::Enabled()) (void)PM_FAILPOINT("miner.count.poll");
+      if (CancelExpired(options.cancel)) {
+        // A partial phase 1 ranks nothing.
+        result.status =
+            Status::DeadlineExceeded("deadline expired during Simitsis scan");
+        result.compute_ms = watch.ElapsedMillis();
+        return result;
+      }
+      next_poll = result.entries_read + kCancelDocStride;
     }
     ++scanned;
     const std::size_t count = InvertedIndex::IntersectSize(docs, subset);

@@ -1,7 +1,6 @@
 #include "core/smj_miner.h"
 
 #include <array>
-#include <vector>
 
 #include "common/cancel.h"
 #include "common/check.h"
@@ -15,12 +14,10 @@ namespace phrasemine {
 
 namespace {
 
-/// Attaches the one-phase SMJ trace (both merge paths report the same
-/// shape; `path` says which implementation ran).
-void AttachSmjTrace(MineResult* result, const char* path) {
+/// Attaches the one-phase SMJ trace.
+void AttachSmjTrace(MineResult* result) {
   result->trace = std::make_shared<TraceSpan>();
   result->trace->name = "mine:smj";
-  result->trace->detail = path;
   result->trace->wall_ms = result->compute_ms;
   TraceSpan* merge = AddSpan(result->trace.get(), "merge");
   merge->wall_ms = result->compute_ms;
@@ -36,35 +33,19 @@ void AttachSmjTrace(MineResult* result, const char* path) {
   }
 }
 
-/// Shared abort stamping of both merge paths: once the token's latch is
-/// set (by a kernel poll, a scalar-loop poll, or a sibling shard leg) the
-/// collected prefix is not a ranking -- mark the result DeadlineExceeded.
-void StampCancelled(const CancelToken* cancel, MineResult* result) {
-  if (CancelRequested(cancel)) {
-    result->status =
-        Status::DeadlineExceeded("deadline expired during SMJ merge");
-  }
-}
-
 }  // namespace
 
 SmjMiner::SmjMiner(const WordIdOrderedLists& lists,
                    const PhraseDictionary& dict)
     : lists_(lists), dict_(dict) {}
 
+/// The SoA merge kernels emit each candidate phrase with its per-term
+/// probability vector (list order); this function applies the delta
+/// adjustment and scoring to it -- the same AndScore/OrScore calls on the
+/// same values in the same order as the textbook merge, so the ranked
+/// output is bitwise that merge's (the differential tests enforce it).
 MineResult SmjMiner::Mine(const Query& query, const MineOptions& options) {
   PM_CHECK_MSG(query.terms.size() <= 32, "SMJ supports up to 32 query terms");
-  if (options.use_kernels) return MineKernel(query, options);
-  return MineScalar(query, options);
-}
-
-/// Kernel path: the SoA merge kernels emit each candidate phrase with its
-/// per-term probability vector (list order), and this function applies
-/// exactly the scalar path's delta adjustment and scoring to it -- same
-/// AndScore/OrScore calls on the same values in the same order, so the
-/// ranked output is bitwise identical (the differential tests enforce it).
-MineResult SmjMiner::MineKernel(const Query& query,
-                                const MineOptions& options) {
   MineResult result;
   StopWatch watch;
 
@@ -83,8 +64,8 @@ MineResult SmjMiner::MineKernel(const Query& query,
   std::size_t distinct = 0;
   const DeltaIndex* delta = options.delta;
 
-  // The overlay is applied per present entry, exactly as the scalar merge
-  // does; absent terms contribute 0.0 without consulting it (an absent
+  // The overlay is applied per present entry, exactly as the textbook
+  // merge does; absent terms contribute 0.0 without consulting it (an absent
   // (term, phrase) pair has no base count and no positive co-delta -- a
   // positive delta would have put it in the overlay's extra entries).
   auto adjust = [&](PhraseId id, const double* probs,
@@ -126,87 +107,15 @@ MineResult SmjMiner::MineKernel(const Query& query,
   result.peak_candidates = distinct;
   result.phrases = collector.Take();
   result.compute_ms = watch.ElapsedMillis();
-  StampCancelled(options.cancel, &result);
-  if (options.trace) AttachSmjTrace(&result, "kernel");
+  // Once the token's latch is set (by a kernel poll or a sibling shard
+  // leg) the collected prefix is not a ranking.
+  if (CancelRequested(options.cancel)) {
+    result.status =
+        Status::DeadlineExceeded("deadline expired during SMJ merge");
+  }
+  if (options.trace) AttachSmjTrace(&result);
   return result;
 }
 
-/// Scalar reference path: the textbook one-entry-at-a-time k-way merge of
-/// Algorithm 2, kept verbatim as the ground truth the kernel path is
-/// differentially tested against.
-MineResult SmjMiner::MineScalar(const Query& query,
-                                const MineOptions& options) {
-  MineResult result;
-  StopWatch watch;
-
-  const QueryOperator op = query.op;
-  const std::size_t r = query.terms.size();
-  std::vector<std::span<const ListEntry>> lists(r);
-  std::vector<std::size_t> pos(r, 0);
-  for (std::size_t i = 0; i < r; ++i) {
-    lists[i] = lists_.list(query.terms[i]);
-  }
-
-  TopKCollector collector(options.k);
-  std::vector<double> probs;
-  probs.reserve(r);
-  std::size_t distinct = 0;
-
-  for (;;) {
-    // Same polling stride as the kernels: one deadline check per
-    // kCancelStride merged candidates.
-    if (options.cancel != nullptr &&
-        distinct % kernels::kCancelStride == kernels::kCancelStride - 1 &&
-        options.cancel->Expired()) {
-      break;
-    }
-    // Find the smallest unread phrase id across lists (Alg. 2 line 4);
-    // r is tiny (2-6), so a linear scan beats a heap.
-    PhraseId min_id = kInvalidPhraseId;
-    for (std::size_t i = 0; i < r; ++i) {
-      if (pos[i] < lists[i].size() && lists[i][pos[i]].phrase < min_id) {
-        min_id = lists[i][pos[i]].phrase;
-      }
-    }
-    if (min_id == kInvalidPhraseId) break;  // All lists exhausted.
-
-    // Consume every list entry carrying min_id; collect the per-term
-    // conditional probabilities (absent lists contribute 0).
-    probs.clear();
-    std::size_t present = 0;
-    for (std::size_t i = 0; i < r; ++i) {
-      double p = 0.0;
-      if (pos[i] < lists[i].size() && lists[i][pos[i]].phrase == min_id) {
-        p = lists[i][pos[i]].prob;
-        if (options.delta != nullptr) {
-          p = options.delta->AdjustedProb(query.terms[i], min_id, p);
-        }
-        ++pos[i];
-        ++present;
-        ++result.entries_read;
-      }
-      probs.push_back(p);
-    }
-    ++distinct;
-
-    double score;
-    if (op == QueryOperator::kAnd) {
-      if (present < r) continue;  // A zero factor nullifies an AND product.
-      score = AndScore(probs);
-      if (score == kMinusInfinity) continue;
-    } else {
-      score = OrScore(probs, options.or_order);
-      if (score <= 0.0) continue;
-    }
-    collector.Offer(min_id, score, ScoreToInterestingness(score, op));
-  }
-
-  result.peak_candidates = distinct;
-  result.phrases = collector.Take();
-  result.compute_ms = watch.ElapsedMillis();
-  StampCancelled(options.cancel, &result);
-  if (options.trace) AttachSmjTrace(&result, "scalar");
-  return result;
-}
 
 }  // namespace phrasemine

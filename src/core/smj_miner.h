@@ -18,12 +18,11 @@ namespace phrasemine {
 /// fraction is fixed at WordIdOrderedLists construction time;
 /// MineOptions::list_fraction is ignored here.
 ///
-/// Two implementations share the scoring and tie-break logic bit for bit:
-/// the default kernel path runs on the lists' SoA block views
-/// (core/kernels.h) -- a galloping intersection for AND that skips from
-/// the shortest list via the block headers, a block-at-a-time merge for
-/// OR -- and the scalar path is the textbook entry-at-a-time merge, kept
-/// as the differential-test reference (MineOptions::use_kernels).
+/// The merge runs on the lists' SoA block form (core/kernels.h): a
+/// galloping intersection for AND that skips from the shortest list via
+/// the block headers, a block-at-a-time merge for OR. The textbook
+/// entry-at-a-time merge of Algorithm 2 lives in the test tree as the
+/// reference these kernels are differentially checked against.
 class SmjMiner : public Miner {
  public:
   SmjMiner(const WordIdOrderedLists& lists, const PhraseDictionary& dict);
@@ -32,9 +31,6 @@ class SmjMiner : public Miner {
   std::string_view name() const override { return "SMJ"; }
 
  private:
-  MineResult MineKernel(const Query& query, const MineOptions& options);
-  MineResult MineScalar(const Query& query, const MineOptions& options);
-
   const WordIdOrderedLists& lists_;
   const PhraseDictionary& dict_;
 };

@@ -131,15 +131,39 @@ SoABlockList SoABlockList::FromIdOrdered(std::span<const ListEntry> entries) {
     list.ids_.push_back(e.phrase);
     list.probs_.push_back(e.prob);
   }
-  const std::size_t blocks =
-      (entries.size() + kBlockEntries - 1) / kBlockEntries;
-  list.block_max_.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t last =
-        std::min(entries.size(), (b + 1) * kBlockEntries) - 1;
-    list.block_max_.push_back(list.ids_[last]);
-  }
+  list.BuildSkipHeaders();
   return list;
+}
+
+SoABlockList SoABlockList::Merged(const SoABlockList& base,
+                                  std::span<const ListEntry> extras) {
+  SoABlockList list;
+  const std::size_t n = base.size() + extras.size();
+  list.ids_.reserve(n);
+  list.probs_.reserve(n);
+  std::size_t i = 0;
+  for (const ListEntry& e : extras) {
+    for (; i < base.size() && base.ids_[i] < e.phrase; ++i) {
+      list.ids_.push_back(base.ids_[i]);
+      list.probs_.push_back(base.probs_[i]);
+    }
+    list.ids_.push_back(e.phrase);
+    list.probs_.push_back(e.prob);
+  }
+  list.ids_.insert(list.ids_.end(), base.ids_.begin() + i, base.ids_.end());
+  list.probs_.insert(list.probs_.end(), base.probs_.begin() + i,
+                     base.probs_.end());
+  list.BuildSkipHeaders();
+  return list;
+}
+
+void SoABlockList::BuildSkipHeaders() {
+  const std::size_t n = ids_.size();
+  block_max_.clear();
+  block_max_.reserve((n + kBlockEntries - 1) / kBlockEntries);
+  for (std::size_t b = 0; b * kBlockEntries < n; ++b) {
+    block_max_.push_back(ids_[std::min(n, (b + 1) * kBlockEntries) - 1]);
+  }
 }
 
 std::size_t SoABlockList::SkipTo(std::size_t from, PhraseId target) const {

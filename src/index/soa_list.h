@@ -35,8 +35,9 @@ std::size_t LowerBoundU32(const uint32_t* a, std::size_t n, std::size_t from,
 
 }  // namespace kernels
 
-/// Packed structure-of-arrays view of one id-ordered word list: the phrase
-/// ids and probabilities of the AoS `ListEntry` run live in two contiguous
+/// Packed structure-of-arrays form of one id-ordered word list -- the only
+/// in-memory form of it (an id-ordered AoS `ListEntry` run is transient
+/// build input): phrase ids and probabilities live in two contiguous
 /// parallel arrays, split into fixed-size blocks with a per-block max-id
 /// skip header. The id array is what the merge kernels (core/kernels.h)
 /// actually scan, so a cache line carries 16 ids instead of 4 padded
@@ -54,9 +55,15 @@ class SoABlockList {
 
   SoABlockList() = default;
 
-  /// Builds the SoA view of an id-ordered entry run (ids must be strictly
+  /// Builds the SoA form of an id-ordered entry run (ids must be strictly
   /// increasing, as WordIdOrderedLists guarantees).
   static SoABlockList FromIdOrdered(std::span<const ListEntry> entries);
+
+  /// One-pass merge of an id-ordered list with id-ordered extra entries
+  /// that share no phrase with it (the delta overlay's delta-only pairs):
+  /// the result is the SoA form of std::merge of the two runs.
+  static SoABlockList Merged(const SoABlockList& base,
+                             std::span<const ListEntry> extras);
 
   std::size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
@@ -79,14 +86,17 @@ class SoABlockList {
   std::size_t MemoryBytes() const;
 
  private:
+  /// Fills block_max_ from the packed id array.
+  void BuildSkipHeaders();
+
   std::vector<PhraseId> ids_;
   std::vector<double> probs_;
   std::vector<PhraseId> block_max_;  // skip headers, one per block
 };
 
-/// A shared immutable SoA view; built once per physical list and reusable
-/// across the engine's cached id-ordered lists, service cache entries and
-/// per-query bundles, exactly like SharedWordList.
+/// A shared immutable SoA list; built once per physical list and reusable
+/// across the engine's cached id-ordered lists and per-query overlay
+/// bundles, exactly like SharedWordList.
 using SharedSoAList = std::shared_ptr<const SoABlockList>;
 
 }  // namespace phrasemine

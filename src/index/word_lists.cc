@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -203,10 +202,9 @@ WordIdOrderedLists::WordIdOrderedLists(double fraction)
 
 WordIdOrderedLists WordIdOrderedLists::Build(const WordScoreLists& score_lists,
                                              double fraction) {
-  WordIdOrderedLists result;
-  result.fraction_ = std::clamp(fraction, 0.0, 1.0);
+  WordIdOrderedLists result(fraction);
   for (TermId t : score_lists.Terms()) {
-    result.Insert(t, IdOrderPrefix(score_lists.Partial(t, result.fraction_)));
+    result.Insert(t, PackPrefix(score_lists.Partial(t, result.fraction_)));
   }
   return result;
 }
@@ -221,64 +219,36 @@ SharedWordList WordIdOrderedLists::IdOrderPrefix(
   return std::make_shared<const std::vector<ListEntry>>(std::move(list));
 }
 
-SharedWordList WordIdOrderedLists::MergeById(std::span<const ListEntry> base,
-                                             std::span<const ListEntry> extras) {
-  std::vector<ListEntry> merged;
-  merged.reserve(base.size() + extras.size());
-  std::merge(base.begin(), base.end(), extras.begin(), extras.end(),
-             std::back_inserter(merged),
-             [](const ListEntry& a, const ListEntry& b) {
-               return a.phrase < b.phrase;
-             });
-  return std::make_shared<const std::vector<ListEntry>>(std::move(merged));
-}
-
-std::span<const ListEntry> WordIdOrderedLists::list(TermId term) const {
-  auto it = lists_.find(term);
-  if (it == lists_.end()) return {};
-  return *it->second.entries;
-}
-
-SharedWordList WordIdOrderedLists::shared(TermId term) const {
-  auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second.entries;
+SharedSoAList WordIdOrderedLists::PackPrefix(
+    std::span<const ListEntry> prefix) {
+  return std::make_shared<const SoABlockList>(
+      SoABlockList::FromIdOrdered(*IdOrderPrefix(prefix)));
 }
 
 const SoABlockList* WordIdOrderedLists::soa(TermId term) const {
   auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second.soa.get();
+  return it == lists_.end() ? nullptr : it->second.get();
 }
 
 SharedSoAList WordIdOrderedLists::shared_soa(TermId term) const {
   auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second.soa;
+  return it == lists_.end() ? nullptr : it->second;
 }
 
-void WordIdOrderedLists::Insert(TermId term, SharedWordList list,
-                                SharedSoAList soa) {
+void WordIdOrderedLists::Insert(TermId term, SharedSoAList list) {
   PM_CHECK_MSG(list != nullptr, "Insert requires a non-null list");
-  if (soa == nullptr) {
-    soa = std::make_shared<const SoABlockList>(
-        SoABlockList::FromIdOrdered(std::span<const ListEntry>(*list)));
-  }
-  lists_.try_emplace(term, Stored{std::move(list), std::move(soa)});
+  lists_.try_emplace(term, std::move(list));
 }
 
 std::size_t WordIdOrderedLists::TotalEntries() const {
   std::size_t total = 0;
-  for (const auto& [term, stored] : lists_) total += stored.entries->size();
+  for (const auto& [term, list] : lists_) total += list->size();
   return total;
 }
 
 std::size_t WordIdOrderedLists::MemoryBytes() const {
   std::size_t total = 0;
-  for (const auto& [term, stored] : lists_) {
-    total += stored.entries->size() * kListEntryInMemoryBytes +
-             stored.soa->MemoryBytes();
-  }
+  for (const auto& [term, list] : lists_) total += list->MemoryBytes();
   return total;
 }
 

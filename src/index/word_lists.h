@@ -133,11 +133,11 @@ class WordScoreLists {
 /// requires rebuilding -- exactly the run-time/construction-time asymmetry
 /// the paper contrasts between NRA and SMJ.
 ///
-/// Every inserted list also carries a packed SoA block view (SoABlockList,
-/// core/kernels.h): contiguous id and prob arrays with per-block max-id
-/// skip headers. The merge kernels run on that view; the AoS entry run
-/// stays the canonical representation for overlay assembly and the scalar
-/// reference path.
+/// Each term's list is held only as a packed SoA block list (SoABlockList:
+/// contiguous id and prob arrays with per-block max-id skip headers), the
+/// form the merge kernels (core/kernels.h), the delta overlay merge and
+/// the fleet's support lookups all read. The AoS re-sort is transient
+/// build input, dropped once packed.
 ///
 /// Threading: same contract as WordScoreLists -- const reads are safe
 /// concurrently, mutations require exclusive access.
@@ -158,58 +158,39 @@ class WordIdOrderedLists {
   static WordIdOrderedLists Build(const WordScoreLists& score_lists,
                                   double fraction);
 
-  /// Re-sorts one score-ordered list prefix by phrase id; the single-term
-  /// unit of Build, which MiningEngine also uses to build id-ordered lists
-  /// term by term. The prefix must already be truncated to the desired
-  /// fraction (see WordScoreLists::Partial).
+  /// Re-sorts one score-ordered list prefix by phrase id, the build-time
+  /// sort. The prefix must already be truncated to the desired fraction
+  /// (see WordScoreLists::Partial).
   static SharedWordList IdOrderPrefix(std::span<const ListEntry> prefix);
 
-  /// Merges two id-ordered entry runs into one id-ordered list. Used to
-  /// overlay DeltaIndex::ExtraIdOrderedEntries onto a stored list for the
-  /// per-query SMJ bundles mined under live updates; the inputs must be
-  /// sorted by phrase id and share no phrase.
-  static SharedWordList MergeById(std::span<const ListEntry> base,
-                                  std::span<const ListEntry> extras);
+  /// IdOrderPrefix packed into its SoA form: the single-term unit of
+  /// Build, which MiningEngine also uses to build id-ordered lists term
+  /// by term.
+  static SharedSoAList PackPrefix(std::span<const ListEntry> prefix);
 
   bool Has(TermId term) const { return lists_.contains(term); }
 
-  /// Id-ordered list for a term; empty span if absent.
-  std::span<const ListEntry> list(TermId term) const;
-
-  /// Shared handle to a term's list; nullptr if absent.
-  SharedWordList shared(TermId term) const;
-
-  /// Packed SoA block view of a term's list (built at Insert time);
-  /// nullptr if the term has no list. Valid as long as the container (the
-  /// view is shared-owned alongside the AoS run).
+  /// A term's list; nullptr if absent. Valid as long as the container.
   const SoABlockList* soa(TermId term) const;
 
-  /// Shared handle to a term's SoA view; nullptr if absent. Pass it to
-  /// another container's Insert to share the view instead of rebuilding
+  /// Shared handle to a term's list; nullptr if absent. Pass it to
+  /// another container's Insert to share the list instead of rebuilding
   /// it (per-query overlay bundles).
   SharedSoAList shared_soa(TermId term) const;
 
   /// Adds a prebuilt id-ordered list; keeps any existing list for the
-  /// term. When `soa` is null the SoA view is built here (an O(list)
-  /// copy); pass the list's already-built view to make insertion O(1) --
-  /// the per-query bundle paths do, so a bundle never re-packs a list the
-  /// engine already packed.
-  void Insert(TermId term, SharedWordList list, SharedSoAList soa = nullptr);
+  /// term. O(1): the list is shared, never copied.
+  void Insert(TermId term, SharedSoAList list);
 
   double fraction() const { return fraction_; }
   std::size_t TotalEntries() const;
 
-  /// Resident bytes: every term's AoS entry run plus its SoA view
-  /// (SoABlockList::MemoryBytes).
+  /// Resident bytes of every term's SoA list (SoABlockList::MemoryBytes).
   std::size_t MemoryBytes() const;
 
  private:
-  struct Stored {
-    SharedWordList entries;
-    SharedSoAList soa;
-  };
   double fraction_ = 1.0;
-  std::unordered_map<TermId, Stored> lists_;
+  std::unordered_map<TermId, SharedSoAList> lists_;
 };
 
 }  // namespace phrasemine

@@ -148,10 +148,6 @@ struct GlobalCandidate {
   uint64_t freq_subset = 0;
 };
 
-int64_t ClampCount(int64_t value, int64_t hi) {
-  return std::clamp<int64_t>(value, 0, hi);
-}
-
 /// The overlay actually in effect for a snapshot (null when none).
 const DeltaIndex* PendingDelta(const EpochDelta& snap) {
   return snap.delta != nullptr && snap.delta->pending_updates() > 0
@@ -270,47 +266,24 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       out->codf[row * r + term_index] = codf;
       return true;
     };
-    // The engine's cached id-ordered lists carry the SoA views the fold
-    // streams over (contiguous id/prob arrays), and double as the
-    // pre-sorted base the delta extras merge against -- no per-query
-    // re-sort. Only a full-fraction cache is usable (sharded SMJ merges
-    // full lists); the score-ordered scan below is the fallback when a
-    // concurrent invalidation or a truncated fraction removed it.
-    const WordIdOrderedLists* idl = engine.id_ordered_lists();
-    const bool use_idl = idl != nullptr && idl->fraction() >= 1.0;
+    // One pass per term over its full id-ordered SoA list (the engine's
+    // cached one when it is at fraction 1), then the delta-only pairs
+    // absent from it -- enumerated the way the monolithic SMJ bundle
+    // assembly does.
     auto fold_all = [&]() -> bool {
       for (std::size_t i = 0; i < r; ++i) {
-        const TermId t = query.terms[i];
-        if (use_idl && idl->Has(t)) {
-          const SoABlockList* soa = idl->soa(t);
-          const PhraseId* ids = soa->ids();
-          const double* probs = soa->probs();
-          const std::size_t len = soa->size();
-          for (std::size_t k = 0; k < len; ++k) {
-            if (!fold(i, ids[k], probs[k])) return false;
-          }
-          if (delta != nullptr) {
-            for (const ListEntry& extra :
-                 delta->ExtraIdOrderedEntries(t, idl->list(t))) {
-              if (!fold(i, extra.phrase, extra.prob)) return false;
-            }
-          }
-          continue;
+        const SharedSoAList list =
+            engine.FullIdOrderedListLocked(query.terms[i]);
+        const PhraseId* ids = list->ids();
+        const double* probs = list->probs();
+        for (std::size_t k = 0; k < list->size(); ++k) {
+          if (!fold(i, ids[k], probs[k])) return false;
         }
-        const SharedWordList base = engine.word_lists().shared(t);
-        for (const ListEntry& entry : *base) {
-          if (!fold(i, entry.phrase, entry.prob)) return false;
-        }
-        if (delta != nullptr) {
-          // Pairs whose co-occurrence became positive purely through
-          // updates are absent from the stored list; enumerate them the
-          // same way the monolithic SMJ bundle assembly does.
-          const SharedWordList id_base = WordIdOrderedLists::IdOrderPrefix(
-              std::span<const ListEntry>(*base));
-          for (const ListEntry& extra : delta->ExtraIdOrderedEntries(
-                   t, std::span<const ListEntry>(*id_base))) {
-            if (!fold(i, extra.phrase, extra.prob)) return false;
-          }
+        if (delta == nullptr) continue;
+        for (const ListEntry& extra : delta->ExtraIdOrderedEntries(
+                 query.terms[i],
+                 std::span<const PhraseId>(ids, list->size()))) {
+          if (!fold(i, extra.phrase, extra.prob)) return false;
         }
       }
       return true;
@@ -372,11 +345,14 @@ bool TopKScatter(MiningEngine& engine, const Query& query,
 
 /// Count-mode fill: document frequency for every needed candidate, plus
 /// (when `need_freq`) its sub-collection frequency via one forward scan --
-/// the supports the gather sums into the global Eq. 1 inputs.
+/// the supports the gather sums into the global Eq. 1 inputs. The scan
+/// polls `cancel` every kCancelDocStride documents and stops once it
+/// fired; the caller's post-fill check then discards the partial counts.
 bool CountFill(MiningEngine& engine, const Query& query,
                std::span<const GlobalCandidate> cands,
                std::span<const uint8_t> need, bool need_freq,
-               const EpochDelta& snap, ShardFill* out) {
+               const CancelToken* cancel, const EpochDelta& snap,
+               ShardFill* out) {
   out->df.assign(cands.size(), 0);
   if (need_freq) out->freq_subset.assign(cands.size(), 0);
   return engine.WithSharedStructures([&]() -> bool {
@@ -397,9 +373,13 @@ bool CountFill(MiningEngine& engine, const Query& query,
     const std::vector<DocId> subset =
         EvalSubCollection(query, engine.inverted());
     out->subcollection = subset.size();
-    for (DocId d : subset) {
+    for (std::size_t k = 0; k < subset.size(); ++k) {
+      if (k % kCancelDocStride == 0) {
+        if (failpoint::Enabled()) (void)PM_FAILPOINT("shard.fill.poll");
+        if (CancelExpired(cancel)) break;
+      }
       // kFull forward index: the stored list is the full phrase set.
-      for (PhraseId p : engine.forward().stored(d)) {
+      for (PhraseId p : engine.forward().stored(subset[k])) {
         const uint32_t i = slot[p];
         if (i != kNoSlot) ++out->freq_subset[i];
       }
@@ -438,74 +418,32 @@ bool ListFill(MiningEngine& engine, const Query& query,
     }
     if (!need_codf) return true;
 
-    const WordIdOrderedLists* idl = engine.id_ordered_lists();
-    bool use_idl = idl != nullptr && idl->fraction() >= 1.0;
-    if (use_idl) {
-      for (TermId t : query.terms) use_idl = use_idl && idl->Has(t);
-    }
-    if (use_idl) {
-      // Kernel path: one galloping pass per term over the id-ordered SoA
-      // list gathers every needed candidate's stored probability (0.0
-      // when absent). AdjustedShardCodf on a 0.0 base recovers exactly the
-      // delta-only count the scan path computes for absent candidates,
-      // so the two paths produce identical supports.
-      std::vector<std::pair<PhraseId, std::size_t>> probes;
-      probes.reserve(cands.size());
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!need[i]) continue;
-        if (cands[i].phrase >= set_size) continue;
-        probes.emplace_back(cands[i].phrase, i);
-      }
-      std::sort(probes.begin(), probes.end());
-      std::vector<PhraseId> probe_ids(probes.size());
-      for (std::size_t m = 0; m < probes.size(); ++m) {
-        probe_ids[m] = probes[m].first;
-      }
-      std::vector<double> gathered(probes.size());
-      for (std::size_t j = 0; j < r; ++j) {
-        const TermId t = query.terms[j];
-        kernels::GatherProbes(*idl->soa(t), probe_ids, gathered.data());
-        for (std::size_t m = 0; m < probes.size(); ++m) {
-          const auto [p, i] = probes[m];
-          out->codf[i * r + j] = AdjustedShardCodf(
-              gathered[m], engine.dict().df(p), t, p, delta, out->df[i]);
-        }
-      }
-      return true;
-    }
-
-    // Fallback scan over the score-ordered lists (truncated id-list cache
-    // or a concurrent invalidation), the pre-kernel reference path.
-    std::vector<uint32_t>& slot = SlotTable(set_size);
+    // One galloping pass per term over its full id-ordered SoA list
+    // gathers every needed candidate's stored probability (0.0 when
+    // absent); AdjustedShardCodf on a 0.0 base recovers the delta-only
+    // count of a candidate absent from the base list.
+    std::vector<std::pair<PhraseId, std::size_t>> probes;
+    probes.reserve(cands.size());
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (need[i] && cands[i].phrase < set_size) {
-        slot[cands[i].phrase] = static_cast<uint32_t>(i);
-      }
+      if (!need[i]) continue;
+      if (cands[i].phrase >= set_size) continue;
+      probes.emplace_back(cands[i].phrase, i);
     }
-    std::vector<uint8_t> in_base(cands.size());
+    std::sort(probes.begin(), probes.end());
+    std::vector<PhraseId> probe_ids(probes.size());
+    for (std::size_t m = 0; m < probes.size(); ++m) {
+      probe_ids[m] = probes[m].first;
+    }
+    std::vector<double> gathered(probes.size());
     for (std::size_t j = 0; j < r; ++j) {
       const TermId t = query.terms[j];
-      std::fill(in_base.begin(), in_base.end(), 0);
-      for (const ListEntry& entry : engine.word_lists().list(t)) {
-        const uint32_t i = slot[entry.phrase];
-        if (i == kNoSlot) continue;
-        in_base[i] = 1;
-        const uint32_t base_df = engine.dict().df(entry.phrase);
+      kernels::GatherProbes(*engine.FullIdOrderedListLocked(t), probe_ids,
+                            gathered.data());
+      for (std::size_t m = 0; m < probes.size(); ++m) {
+        const auto [p, i] = probes[m];
         out->codf[i * r + j] = AdjustedShardCodf(
-            entry.prob, base_df, t, entry.phrase, delta, out->df[i]);
+            gathered[m], engine.dict().df(p), t, p, delta, out->df[i]);
       }
-      if (delta == nullptr) continue;
-      // Candidates absent from the base list may still have a positive
-      // co-occurrence purely through updates.
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!need[i] || cands[i].phrase >= set_size || in_base[i]) continue;
-        out->codf[i * r + j] = static_cast<uint32_t>(
-            ClampCount(delta->CoDelta(t, cands[i].phrase),
-                       static_cast<int64_t>(out->df[i])));
-      }
-    }
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (cands[i].phrase < set_size) slot[cands[i].phrase] = kNoSlot;
     }
     return true;
   });
@@ -1187,7 +1125,8 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
         bool ok;
         if (IsCountMode(mode)) {
           ok = CountFill(*shards_[s], query, cands, need,
-                         /*need_freq=*/IsTopKMode(mode), snaps[s], &fill[s]);
+                         /*need_freq=*/IsTopKMode(mode), options.cancel,
+                         snaps[s], &fill[s]);
         } else {
           ok = ListFill(*shards_[s], query, cands, need,
                         /*need_codf=*/IsTopKMode(mode), snaps[s], &fill[s]);
@@ -1225,9 +1164,10 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
       fill_span->wall_ms = watch.ElapsedMillis() - fill_start;
       AddCounter(fill_span, "fill_slots", static_cast<double>(fill_slots));
     }
-    // Fill legs only skip on an already-latched token, so one more full
-    // check bounds the gather: supports merged from a partially-cancelled
-    // fill must never rank.
+    // A fill leg that skipped on a latched token or stopped its count scan
+    // early left partial supports, so one more full check bounds the
+    // gather: supports merged from a partially-cancelled fill must never
+    // rank.
     if (CancelExpired(options.cancel)) {
       return aborted(
           Status::DeadlineExceeded("deadline expired during sharded fill"));

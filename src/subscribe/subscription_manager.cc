@@ -7,7 +7,7 @@
 
 #include "common/cancel.h"
 #include "core/delta_index.h"
-#include "index/word_lists.h"
+#include "core/kernels.h"
 #include "testing/failpoint.h"
 
 namespace phrasemine {
@@ -159,6 +159,13 @@ SubscriptionManager::SubscriptionManager(
   fanout_deadline_total_ = reg.GetCounter("subscribe_fanout_deadline_total");
   touched_total_ = reg.GetCounter("subscribe_touched_phrases_total");
 
+  // Every batch from here on reaches the worker as an event, and every
+  // shadow state is mined after this point, so the current epoch vector
+  // stands in for a last processed event: a subscription whose bootstrap
+  // lands before the first event steps from it incrementally instead of
+  // re-mining.
+  prev_event_vec_ = fleet_->epochs();
+  prev_event_valid_ = true;
   worker_ = std::thread([this] { WorkerLoop(); });
   fleet_->SetUpdateListener([this](const ShardedUpdateEvent& ev) {
     Msg msg;
@@ -318,10 +325,7 @@ void SubscriptionManager::ProcessDataEvent(Msg& msg, bool events_lost) {
     }
   }
 
-  if (rebuilt) {
-    base_lists_.clear();
-    prev_event_valid_ = false;
-  } else if (events_lost) {
+  if (rebuilt || events_lost) {
     prev_event_valid_ = false;
   } else {
     prev_event_vec_ = event_vec;
@@ -439,21 +443,30 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
   // exact arithmetic (AdjustedShardDf/AdjustedShardCodf are the very
   // helpers its fill rounds use); on one shard the recovered counts
   // reproduce DeltaIndex::AdjustedProb bitwise. One locked pass per shard
-  // covers every touched phrase.
+  // covers every touched phrase: the touched ids are sorted, so each
+  // term's base probabilities come from one galloping gather over the
+  // shard's full id-ordered list (0.0 where the phrase is absent).
   const std::size_t num_shards = msg.event.shards.size();
   std::vector<uint64_t> df(np, 0);
   std::vector<uint64_t> codf(np * nt, 0);
+  std::vector<double> base(np * nt);
   for (std::size_t s = 0; s < num_shards && *ok; ++s) {
     const ShardUpdateEvent& se = msg.event.shards[s];
-    if (!EnsureBaseLists(s, terms, se.structure_version)) {
-      *ok = false;
-      break;
-    }
     fleet_->WithShard(s, [&](MiningEngine& engine) {
+      engine.EnsureIdOrderedLists(terms);
       engine.WithSharedStructures([&] {
         if (engine.structure_version() != se.structure_version) {
           *ok = false;
           return;
+        }
+        for (std::size_t j = 0; j < nt; ++j) {
+          double* probs_j = base.data() + j * np;
+          if (const SharedSoAList list =
+                  engine.FullIdOrderedListLocked(terms[j])) {
+            kernels::GatherProbes(*list, touched, probs_j);
+          } else {
+            std::fill(probs_j, probs_j + np, 0.0);
+          }
         }
         const DeltaIndex* delta = se.delta.get();
         const PhraseDictionary& dict = engine.dict();
@@ -464,9 +477,8 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
           const uint32_t df_adj = AdjustedShardDf(base_df, p, delta);
           df[i] += df_adj;
           for (std::size_t j = 0; j < nt; ++j) {
-            const double base = BaseProb(s, terms[j], p);
-            codf[i * nt + j] +=
-                AdjustedShardCodf(base, base_df, terms[j], p, delta, df_adj);
+            codf[i * nt + j] += AdjustedShardCodf(
+                base[j * np + i], base_df, terms[j], p, delta, df_adj);
           }
         }
       });
@@ -493,63 +505,6 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
     out[i] = Rescored{true, score, ScoreToInterestingness(score, op)};
   }
   return out;
-}
-
-double SubscriptionManager::BaseProb(std::size_t shard, TermId term,
-                                     PhraseId phrase) const {
-  const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                       static_cast<uint64_t>(term);
-  auto it = base_lists_.find(key);
-  if (it == base_lists_.end() || it->second.id_ordered == nullptr) return 0.0;
-  const std::vector<ListEntry>& list = *it->second.id_ordered;
-  auto pos = std::lower_bound(
-      list.begin(), list.end(), phrase,
-      [](const ListEntry& e, PhraseId id) { return e.phrase < id; });
-  if (pos == list.end() || pos->phrase != phrase) return 0.0;
-  return pos->prob;
-}
-
-bool SubscriptionManager::EnsureBaseLists(std::size_t shard,
-                                          const std::vector<TermId>& terms,
-                                          uint64_t version) {
-  std::vector<TermId> missing;
-  for (TermId t : terms) {
-    const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                         static_cast<uint64_t>(t);
-    auto it = base_lists_.find(key);
-    if (it == base_lists_.end() || it->second.version != version) {
-      missing.push_back(t);
-    }
-  }
-  if (missing.empty()) return true;
-
-  std::vector<SharedWordList> score_lists(missing.size());
-  bool ok = true;
-  auto read = [&](MiningEngine& engine) {
-    engine.EnsureWordLists(missing);
-    engine.WithSharedStructures([&] {
-      if (engine.structure_version() != version) {
-        ok = false;
-        return;
-      }
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        score_lists[i] = engine.word_lists().shared(missing[i]);
-      }
-    });
-  };
-  fleet_->WithShard(shard, read);
-  if (!ok) return false;
-
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                         static_cast<uint64_t>(missing[i]);
-    SharedWordList id_ordered =
-        score_lists[i] == nullptr
-            ? std::make_shared<const std::vector<ListEntry>>()
-            : WordIdOrderedLists::IdOrderPrefix(*score_lists[i]);
-    base_lists_[key] = CachedList{version, std::move(id_ordered)};
-  }
-  return true;
 }
 
 void SubscriptionManager::Remine(Sub& sub, const CancelToken* cancel,

@@ -248,13 +248,6 @@ class SubscriptionManager {
 
   struct Sub;
 
-  /// Per-(shard, term) cached base list in id order, tagged with the
-  /// structure version it was read at. Worker-only.
-  struct CachedList {
-    uint64_t version = 0;
-    SharedWordList id_ordered;
-  };
-
   /// Outcome of rescoring one phrase under one batch's deltas.
   struct Rescored {
     bool qualifies = false;
@@ -286,12 +279,6 @@ class SubscriptionManager {
   std::vector<Rescored> RescoreTouched(const Sub& sub, const Msg& msg,
                                        const std::vector<PhraseId>& touched,
                                        bool* ok);
-  /// Base list probability of (shard, term, phrase); 0.0 when absent.
-  double BaseProb(std::size_t shard, TermId term, PhraseId phrase) const;
-  /// Refreshes the (shard, term) cached lists at `version`; false when
-  /// the engine is no longer at that structure version.
-  bool EnsureBaseLists(std::size_t shard, const std::vector<TermId>& terms,
-                       uint64_t version);
   void Publish(Sub& sub, bool exact, bool initial);
 
   Options options_;
@@ -328,7 +315,6 @@ class SubscriptionManager {
   bool shutdown_ = false;
 
   // Worker-only state (no locks needed).
-  std::unordered_map<uint64_t, CachedList> base_lists_;  // (shard<<32)|term
   std::vector<uint64_t> prev_event_vec_;
   bool prev_event_valid_ = false;
 

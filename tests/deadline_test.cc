@@ -1,8 +1,8 @@
 // Deadline propagation and cooperative cancellation: CancelToken
-// semantics, miner-level aborts with partial accounting and trace
-// markers, bounded cancellation latency (the trace-asserted "< 2
-// block-check intervals" contract), determinism when the deadline never
-// fires, and the service's deadline surface end to end.
+// semantics, miner-level aborts (every miner and every scanning fleet
+// leg) with partial accounting and trace markers, bounded cancellation
+// latency (the "< 2 check intervals" contract), determinism when the
+// deadline never fires, and the service's deadline surface end to end.
 
 #include <algorithm>
 #include <memory>
@@ -113,21 +113,17 @@ TEST(DeadlineTest, ExpiredTokenAbortsNraWithTraceMarkers) {
   EXPECT_FALSE(ok.phrases.empty());
 }
 
-TEST(DeadlineTest, ExpiredTokenAbortsSmjBothPaths) {
+TEST(DeadlineTest, ExpiredTokenAbortsSmj) {
   MiningEngine engine = MakeSmallEngine();
   const Query query = HeavyQuery(engine);
   const CancelToken expired = CancelToken::AfterMillis(-1.0);
-  for (const bool kernels : {true, false}) {
-    MineOptions options;
-    options.use_kernels = kernels;
-    options.trace = true;
-    options.cancel = &expired;
-    const MineResult aborted = engine.Mine(query, Algorithm::kSmj, options);
-    EXPECT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded)
-        << (kernels ? "kernel" : "scalar");
-    double cancelled = 0.0;
-    EXPECT_TRUE(FindCounter(aborted.trace.get(), "cancelled", &cancelled));
-  }
+  MineOptions options;
+  options.trace = true;
+  options.cancel = &expired;
+  const MineResult aborted = engine.Mine(query, Algorithm::kSmj, options);
+  EXPECT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded);
+  double cancelled = 0.0;
+  EXPECT_TRUE(FindCounter(aborted.trace.get(), "cancelled", &cancelled));
 }
 
 TEST(DeadlineTest, UnfiredDeadlineIsBitwiseInvisible) {
@@ -137,17 +133,13 @@ TEST(DeadlineTest, UnfiredDeadlineIsBitwiseInvisible) {
   const Query query = HeavyQuery(engine);
   const CancelToken generous = CancelToken::AfterMillis(600'000.0);
   for (const Algorithm algorithm : {Algorithm::kNra, Algorithm::kSmj}) {
-    for (const bool kernels : {true, false}) {
-      MineOptions plain;
-      plain.use_kernels = kernels;
-      MineOptions timed = plain;
-      timed.cancel = &generous;
-      const MineResult a = engine.Mine(query, algorithm, plain);
-      const MineResult b = engine.Mine(query, algorithm, timed);
-      EXPECT_TRUE(b.status.ok());
-      EXPECT_EQ(RankedSignature(a), RankedSignature(b))
-          << AlgorithmName(algorithm) << (kernels ? "/kernel" : "/scalar");
-    }
+    MineOptions timed;
+    timed.cancel = &generous;
+    const MineResult a = engine.Mine(query, algorithm, MineOptions{});
+    const MineResult b = engine.Mine(query, algorithm, timed);
+    EXPECT_TRUE(b.status.ok());
+    EXPECT_EQ(RankedSignature(a), RankedSignature(b))
+        << AlgorithmName(algorithm);
   }
 }
 
@@ -202,6 +194,94 @@ TEST(DeadlineTest, CountMinersPollTheToken) {
     EXPECT_TRUE(polled.status.ok()) << name;
     EXPECT_EQ(RankedSignature(before), RankedSignature(polled)) << name;
     EXPECT_EQ(before.entries_read, polled.entries_read) << name;
+  }
+}
+
+TEST(DeadlineTest, SimitsisPollsTheToken) {
+  // Simitsis polls once kCancelDocStride posting-list documents were read
+  // since its last poll: a deadline that fires mid-scan stops phase 1
+  // within two poll intervals and ranks nothing, and a token that never
+  // fires changes nothing.
+  MiningEngine engine = MakeSmallEngine();
+  const Query query = HeavyQuery(engine);
+  // A poll interval reads under kCancelDocStride documents plus the one
+  // posting list that crosses the stride.
+  uint32_t longest_list = 0;
+  for (PhraseId p = 0; p < engine.dict().size(); ++p) {
+    longest_list = std::max(longest_list, engine.dict().df(p));
+  }
+  const double interval =
+      static_cast<double>(kCancelDocStride + longest_list);
+  // Rank every scanned phrase, so phase 1 never stops early.
+  const MineOptions all{.k = 1'000'000};
+  const MineResult before = engine.Mine(query, Algorithm::kSimitsis, all);
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_FALSE(before.phrases.empty());
+  ASSERT_GT(static_cast<double>(before.entries_read), 2.0 * interval);
+
+  // Polls 0 and 1 pass at once; poll 2 stalls past the deadline.
+  failpoint::Arm("miner.count.poll",
+                 {.delay_ms = 100.0, .max_hits = 1, .skip_first = 2});
+  const CancelToken deadline = CancelToken::AfterMillis(50.0);
+  MineOptions timed = all;
+  timed.cancel = &deadline;
+  const MineResult aborted = engine.Mine(query, Algorithm::kSimitsis, timed);
+  failpoint::DisarmAll();
+  EXPECT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(aborted.entries_read, 0u);
+  EXPECT_LE(static_cast<double>(aborted.entries_read), 2.0 * interval);
+  EXPECT_TRUE(aborted.phrases.empty());
+
+  const CancelToken generous = CancelToken::AfterMillis(600'000.0);
+  MineOptions untimed = all;
+  untimed.cancel = &generous;
+  const MineResult polled = engine.Mine(query, Algorithm::kSimitsis, untimed);
+  EXPECT_TRUE(polled.status.ok());
+  EXPECT_EQ(RankedSignature(before), RankedSignature(polled));
+  EXPECT_EQ(before.entries_read, polled.entries_read);
+}
+
+TEST(DeadlineTest, FleetCountFillPollsTheToken) {
+  // The count top-k' fill leg (GM and Simitsis on a fleet) polls every
+  // kCancelDocStride sub-collection documents of its forward scan. The
+  // site fires a stall on every poll after the first two: the deadline
+  // expires inside the third poll, and a scan that stops there hits the
+  // site exactly once -- no further document interval is read.
+  ShardedEngineOptions options;
+  options.num_shards = 1;  // one fill leg: the poll sequence is ordered
+  options.engine.extractor.min_df = 3;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(700), std::move(options));
+  const Query query = HeavyQuery(sharded.shard(0));
+  for (const Algorithm algorithm : {Algorithm::kGm, Algorithm::kSimitsis}) {
+    const char* name = AlgorithmName(algorithm);
+    // Also warms the shard's lazily built miner structures.
+    const ShardedMineResult plain = sharded.Mine(query, algorithm);
+    ASSERT_TRUE(plain.result.status.ok()) << name;
+    ASSERT_FALSE(plain.result.phrases.empty()) << name;
+    ASSERT_GT(plain.result.subcollection_size, 2 * kCancelDocStride) << name;
+
+    failpoint::ResetHitCounts();
+    failpoint::Arm("shard.fill.poll", {.delay_ms = 200.0, .skip_first = 2});
+    const CancelToken deadline = CancelToken::AfterMillis(100.0);
+    MineOptions timed;
+    timed.cancel = &deadline;
+    const ShardedMineResult aborted = sharded.Mine(query, algorithm, timed);
+    const uint64_t stalls = failpoint::HitCount("shard.fill.poll");
+    failpoint::DisarmAll();
+    EXPECT_EQ(aborted.result.status.code(), StatusCode::kDeadlineExceeded)
+        << name;
+    EXPECT_EQ(stalls, 1u) << name;
+    EXPECT_TRUE(aborted.result.phrases.empty()) << name;
+
+    // A token that never fires leaves the merged ranking bitwise as is.
+    const CancelToken generous = CancelToken::AfterMillis(600'000.0);
+    MineOptions untimed;
+    untimed.cancel = &generous;
+    const ShardedMineResult polled = sharded.Mine(query, algorithm, untimed);
+    EXPECT_TRUE(polled.result.status.ok()) << name;
+    EXPECT_EQ(RankedSignature(plain.result), RankedSignature(polled.result))
+        << name;
   }
 }
 

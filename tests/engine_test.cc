@@ -66,18 +66,17 @@ TEST(EngineTest, WordListBytesCountEveryResidentForm) {
     terms.insert(terms.end(), q.value().terms.begin(), q.value().terms.end());
   }
   ASSERT_EQ(terms.size(), 3u);
-  // Score-ordered runs, plus each id-ordered list's AoS run and SoA view.
-  const WordIdOrderedLists* id_lists = engine.id_ordered_lists();
-  ASSERT_NE(id_lists, nullptr);
+  // Score-ordered runs plus each id-ordered list's SoA form, the only
+  // in-memory form of an id-ordered list.
   std::size_t expected = engine.word_lists().InMemoryBytes();
-  std::size_t aos_only = expected;
+  const std::size_t score_only = expected;
   for (TermId t : terms) {
-    ASSERT_NE(id_lists->soa(t), nullptr);
-    const std::size_t run = id_lists->list(t).size() * kListEntryInMemoryBytes;
-    expected += run + id_lists->soa(t)->MemoryBytes();
-    aos_only += run;
+    const SharedSoAList list = engine.WithSharedStructures(
+        [&] { return engine.FullIdOrderedListLocked(t); });
+    ASSERT_NE(list, nullptr);
+    expected += list->MemoryBytes();
   }
-  EXPECT_GT(expected, aos_only);
+  EXPECT_GT(expected, score_only);
   EXPECT_EQ(engine.word_list_stats().bytes, expected);
 }
 

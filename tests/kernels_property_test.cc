@@ -3,8 +3,9 @@
 // doc-id intersection/union kernels are pitted against naive reference
 // merges across adversarial list shapes -- empty lists, one-element lists,
 // 1:1000 length skew, all-equal ids -- and the kernel-path SMJ miner is
-// differentially compared against the scalar reference path, with and
-// without delta overlays and under partial-list fractions.
+// differentially compared against the textbook scalar merge
+// (smj_reference.h), with and without delta overlays and under
+// partial-list fractions.
 
 #include "core/kernels.h"
 
@@ -20,6 +21,8 @@
 #include "core/engine.h"
 #include "eval/query_gen.h"
 #include "index/inverted_index.h"
+#include "index/word_lists.h"
+#include "smj_reference.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -241,6 +244,19 @@ TEST(KernelDocIdTest, IntersectAndUnionMatchInvertedIndex) {
 
 // --- Kernel-path SMJ vs scalar reference, bitwise ----------------------------
 
+/// The query terms' stored id-ordered lists as plain AoS runs, built from
+/// the engine's score-ordered lists at `fraction` -- the reference merge's
+/// input, independent of the SoA lists the engine mines.
+std::vector<std::vector<ListEntry>> AoSIdOrderedLists(
+    const MiningEngine& engine, const Query& query, double fraction) {
+  std::vector<std::vector<ListEntry>> lists;
+  for (TermId t : query.terms) {
+    lists.push_back(*WordIdOrderedLists::IdOrderPrefix(
+        engine.word_lists().Partial(t, fraction)));
+  }
+  return lists;
+}
+
 void ExpectBitwiseEqual(const MineResult& kernel, const MineResult& scalar) {
   ASSERT_EQ(kernel.phrases.size(), scalar.phrases.size());
   for (std::size_t i = 0; i < kernel.phrases.size(); ++i) {
@@ -270,10 +286,12 @@ TEST(KernelSmjDifferentialTest, MatchesScalarAcrossFractionsAndOperators) {
         for (const OrExpansionOrder order :
              {OrExpansionOrder::kFirstOrder, OrExpansionOrder::kFull}) {
           MineOptions kernel_options{.k = 10, .or_order = order};
-          MineOptions scalar_options = kernel_options;
-          scalar_options.use_kernels = false;
-          ExpectBitwiseEqual(engine.Mine(q, Algorithm::kSmj, kernel_options),
-                             engine.Mine(q, Algorithm::kSmj, scalar_options));
+          const MineResult kernel =
+              engine.Mine(q, Algorithm::kSmj, kernel_options);
+          ExpectBitwiseEqual(
+              kernel, testing::ReferenceSmjMine(
+                          q, AoSIdOrderedLists(engine, q, fraction), 10,
+                          order));
         }
       }
     }
@@ -307,10 +325,10 @@ TEST(KernelSmjDifferentialTest, MatchesScalarUnderDeltaOverlay) {
     for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
       q.op = op;
       MineOptions kernel_options{.k = 10};
-      MineOptions scalar_options = kernel_options;
-      scalar_options.use_kernels = false;
       const MineResult kernel = engine.Mine(q, Algorithm::kSmj, kernel_options);
-      const MineResult scalar = engine.Mine(q, Algorithm::kSmj, scalar_options);
+      const MineResult scalar = testing::ReferenceSmjMine(
+          q, AoSIdOrderedLists(engine, q, 1.0), 10,
+          OrExpansionOrder::kFirstOrder, engine.delta_snapshot().delta.get());
       EXPECT_EQ(kernel.guarantee, UpdateGuarantee::kExactUnderDelta);
       ExpectBitwiseEqual(kernel, scalar);
     }

@@ -163,11 +163,13 @@ void ReplayAndCompare(SubscriptionManager* manager,
 }
 
 /// Registers a mixed bag of standing queries over the hot terms: AND and
-/// OR, small and larger k, so floors sit at different depths.
+/// OR, small and larger k, so floors sit at different depths. `min_k`
+/// raises every k to at least that many phrases.
 std::vector<RegisteredSub> RegisterSubs(
     SubscriptionManager* manager, const Corpus& corpus,
     const std::function<Result<Query>(const std::string&, QueryOperator)>&
-        parse) {
+        parse,
+    std::size_t min_k = 0) {
   const std::vector<std::string> hot = FrequentTerms(corpus, 6);
   struct Spec {
     std::vector<std::size_t> term_idx;
@@ -196,15 +198,15 @@ std::vector<RegisteredSub> RegisterSubs(
       text += term;
     }
     request.op = spec.op;
-    request.k = spec.k;
+    request.k = std::max(spec.k, min_k);
     auto id = manager->Subscribe(request);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     if (!id.ok()) continue;
     auto query = parse(text, spec.op);
     EXPECT_TRUE(query.ok()) << query.status().ToString();
     if (!query.ok()) continue;
-    subs.push_back(RegisteredSub{id.value(), std::move(query).value(), spec.k,
-                                 OrExpansionOrder::kFirstOrder});
+    subs.push_back(RegisteredSub{id.value(), std::move(query).value(),
+                                 request.k, OrExpansionOrder::kFirstOrder});
   }
   return subs;
 }
@@ -287,6 +289,59 @@ TEST(SubscriptionDifferentialTest, ShardedReplayMatchesFreshMine) {
   EXPECT_GT(snap.counter("subscribe_incremental_total"), 0u);
   EXPECT_LT(snap.counter("subscribe_remine_total"),
             snap.counter("subscribe_batches_total") * subs.size() / 2);
+}
+
+TEST(SubscriptionDifferentialTest, TruncatedShardsReplayMatchesFreshMine) {
+  // A fleet SMJ merges full lists whatever each shard's own SMJ fraction,
+  // so subscriptions stay allowed over truncated shards. Their id-ordered
+  // caches then hold prefixes, and the incremental rescore must read the
+  // full lists packed on the spot. The oracle is an untruncated twin fleet
+  // fed the same batches, so it shares no truncated list with the
+  // subscribed one; a large k publishes every qualifying phrase, so a
+  // touched phrase from a truncated half that was rescored wrong shows.
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  options.engine.extractor.min_df = 5;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(300), options);
+  ShardedEngine twin =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(300), options);
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    sharded.shard(s).SetSmjFraction(0.5);
+  }
+  MetricsRegistry registry;
+  SubscriptionManagerOptions sub_options;
+  sub_options.metrics = &registry;
+  SubscriptionManager manager(&sharded, sub_options);
+
+  const Corpus& corpus = sharded.shard(0).corpus();
+  std::vector<RegisteredSub> subs = RegisterSubs(
+      &manager, corpus,
+      [&](const std::string& text, QueryOperator op) {
+        return sharded.ParseQuery(text, op);
+      },
+      /*min_k=*/100'000);
+  ASSERT_EQ(subs.size(), 3u);
+
+  ReplayAndCompare(
+      &manager, subs, corpus, /*num_batches=*/40, /*rebuild_every=*/0,
+      [&](const UpdateBatch& batch) {
+        sharded.ApplyUpdate(batch);
+        twin.ApplyUpdate(batch);
+      },
+      [] {},
+      [&](const RegisteredSub& sub) {
+        MineOptions mo;
+        mo.k = sub.k;
+        mo.or_order = sub.or_order;
+        return twin.Mine(sub.query, Algorithm::kSmj, mo).result;
+      });
+
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_EQ(sharded.shard(s).smj_fraction(), 0.5);
+  }
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_GT(snap.counter("subscribe_incremental_total"), 0u);
 }
 
 // --- Adversarial churn properties -------------------------------------------

@@ -1,6 +1,10 @@
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
+#include <vector>
 
+#include "core/delta_index.h"
 #include "gtest/gtest.h"
 #include "index/word_lists.h"
 #include "phrase/phrase_extractor.h"
@@ -186,11 +190,12 @@ TEST(WordIdOrderedListsTest, OrderedById) {
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
   WordIdOrderedLists id_lists = WordIdOrderedLists::Build(score_lists, 1.0);
   for (TermId t : score_lists.Terms()) {
-    auto list = id_lists.list(t);
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      EXPECT_LT(list[i - 1].phrase, list[i].phrase);
+    const SoABlockList* list = id_lists.soa(t);
+    ASSERT_NE(list, nullptr);
+    for (std::size_t i = 1; i < list->size(); ++i) {
+      EXPECT_LT(list->ids()[i - 1], list->ids()[i]);
     }
-    EXPECT_EQ(list.size(), score_lists.list(t).size());
+    EXPECT_EQ(list->size(), score_lists.list(t).size());
   }
 }
 
@@ -202,16 +207,100 @@ TEST(WordIdOrderedListsTest, FractionTruncatesTopScores) {
   EXPECT_DOUBLE_EQ(id_lists.fraction(), 0.3);
   for (TermId t : score_lists.Terms()) {
     const auto prefix = score_lists.Partial(t, 0.3);
-    const auto list = id_lists.list(t);
-    ASSERT_EQ(list.size(), prefix.size());
+    const SoABlockList* list = id_lists.soa(t);
+    ASSERT_NE(list, nullptr);
+    ASSERT_EQ(list->size(), prefix.size());
     // Same multiset of entries, different order.
-    std::vector<PhraseId> a, b;
+    std::vector<PhraseId> a, b(list->ids(), list->ids() + list->size());
     for (const auto& e : prefix) a.push_back(e.phrase);
-    for (const auto& e : list) b.push_back(e.phrase);
     std::sort(a.begin(), a.end());
     EXPECT_EQ(a, b);
   }
   EXPECT_LE(id_lists.TotalEntries(), score_lists.TotalEntries());
+}
+
+/// Every id and prob of `list` equals `expect` entry for entry, and every
+/// position's block header is the max id of its 128-entry block.
+void ExpectSoAEquals(const SoABlockList& list,
+                     const std::vector<ListEntry>& expect) {
+  ASSERT_EQ(list.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(list.ids()[i], expect[i].phrase) << i;
+    EXPECT_EQ(list.probs()[i], expect[i].prob) << i;
+    const std::size_t block_end =
+        std::min(expect.size(), (i / SoABlockList::kBlockEntries + 1) *
+                                    SoABlockList::kBlockEntries);
+    EXPECT_EQ(list.BlockMaxAt(i), expect[block_end - 1].phrase) << i;
+  }
+}
+
+TEST(SoABlockListTest, MergedEqualsStdMergeAcrossBlockBoundaries) {
+  // 300 even-id base entries and 60 odd-id extras: the merged list spans
+  // three blocks, and extras land on both sides of each block boundary.
+  std::vector<ListEntry> base;
+  for (PhraseId p = 0; p < 600; p += 2) {
+    base.push_back(ListEntry{p, 1.0 / (1.0 + p)});
+  }
+  std::vector<ListEntry> extras;
+  for (PhraseId p = 1; p < 600; p += 10) extras.push_back(ListEntry{p, 0.0});
+  extras.push_back(ListEntry{601, 0.0});  // past the base's last id
+  std::vector<ListEntry> expect;
+  std::merge(base.begin(), base.end(), extras.begin(), extras.end(),
+             std::back_inserter(expect),
+             [](const ListEntry& a, const ListEntry& b) {
+               return a.phrase < b.phrase;
+             });
+  ASSERT_GT(expect.size(), 2 * SoABlockList::kBlockEntries);
+  const SoABlockList packed = SoABlockList::FromIdOrdered(base);
+  ExpectSoAEquals(SoABlockList::Merged(packed, extras), expect);
+  ExpectSoAEquals(SoABlockList::Merged(packed, {}), base);
+  ExpectSoAEquals(SoABlockList::Merged(SoABlockList(), extras), extras);
+}
+
+TEST(WordIdOrderedListsTest, DeltaOverlayMergesExtrasIntoTheSoAList) {
+  Fixture f;
+  WordScoreLists score_lists =
+      WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
+  WordIdOrderedLists id_lists = WordIdOrderedLists::Build(score_lists, 1.0);
+  const TermId kernel = f.term("kernel");
+  const SharedSoAList base = id_lists.shared_soa(kernel);
+  ASSERT_NE(base, nullptr);
+
+  // No delta-only pair for the term: the overlay hands back the base
+  // pointer itself (the SMJ bundle then shares the cached list).
+  DeltaIndex delta(f.dict);
+  EXPECT_EQ(delta.OverlayIdOrdered(kernel, base), base);
+  const std::vector<TermId> again = f.corpus.doc(4).tokens;  // kernel doc
+  delta.AddDocument(again);
+  EXPECT_EQ(delta.OverlayIdOrdered(kernel, base), base);
+
+  // "query optimization" never co-occurred with "kernel": the insert makes
+  // the pair positive purely through the update.
+  const std::vector<TermId> fresh = {kernel, f.term("query"),
+                                     f.term("optimization")};
+  delta.AddDocument(fresh);
+  const std::span<const PhraseId> base_ids(base->ids(), base->size());
+  const std::vector<ListEntry> extras =
+      delta.ExtraIdOrderedEntries(kernel, base_ids);
+  ASSERT_FALSE(extras.empty());
+  const SharedSoAList overlaid = delta.OverlayIdOrdered(kernel, base);
+  ASSERT_NE(overlaid, base);
+  std::vector<ListEntry> base_entries;
+  for (std::size_t i = 0; i < base->size(); ++i) {
+    base_entries.push_back(ListEntry{base->ids()[i], base->probs()[i]});
+  }
+  std::vector<ListEntry> expect;
+  std::merge(base_entries.begin(), base_entries.end(), extras.begin(),
+             extras.end(), std::back_inserter(expect),
+             [](const ListEntry& a, const ListEntry& b) {
+               return a.phrase < b.phrase;
+             });
+  ExpectSoAEquals(*overlaid, expect);
+
+  // A term without a stored list overlays onto an empty one.
+  const SharedSoAList none = delta.OverlayIdOrdered(kernel, nullptr);
+  ASSERT_NE(none, nullptr);
+  ExpectSoAEquals(*none, delta.ExtraIdOrderedEntries(kernel, {}));
 }
 
 }  // namespace
