@@ -128,27 +128,23 @@ void DiskResidentLists::PlaceAndRegister() {
       std::max<uint64_t>(phrase_file_.SizeBytes(), 1));
 }
 
-void DiskResidentLists::ChargeListRead(TermId term, uint64_t pos) {
-  if (resident_.contains(term)) return;  // pinned in RAM: no charge
-  if (!ChargeAdmitted(cancel_, &error_)) return;
+DiskResidentLists::ListHandle DiskResidentLists::ListHandleOf(
+    TermId term) const {
+  if (resident_.contains(term)) return kPinnedList;  // pinned: no charge
   auto it = list_files_.find(term);
   PM_CHECK_MSG(it != list_files_.end(), "no disk range for term list");
-  device_->Read(it->second, pos * kListEntryBytes, kListEntryBytes);
+  return it->second;
 }
 
-void DiskResidentLists::ChargeListScan(TermId term, uint64_t entries) {
-  if (entries == 0) return;
-  if (resident_.contains(term)) return;  // pinned in RAM: no charge
+void DiskResidentLists::ChargeRange(uint32_t range, uint64_t offset,
+                                    uint64_t n) {
   if (!ChargeAdmitted(cancel_, &error_)) return;
-  auto it = list_files_.find(term);
-  PM_CHECK_MSG(it != list_files_.end(), "no disk range for term list");
-  device_->Read(it->second, 0, entries * kListEntryBytes);
+  device_->Read(range, offset, n);
 }
 
 void DiskResidentLists::ChargePhraseLookup(PhraseId id) {
-  if (!ChargeAdmitted(cancel_, &error_)) return;
-  device_->Read(phrase_file_id_, phrase_file_.SlotOffset(id),
-                phrase_file_.slot_size());
+  ChargeRange(phrase_file_id_, phrase_file_.SlotOffset(id),
+              phrase_file_.slot_size());
 }
 
 }  // namespace phrasemine

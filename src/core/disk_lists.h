@@ -150,15 +150,34 @@ class DiskResidentLists {
   /// the latch at its batch cadence as MineResult::status.
   const Status& last_error() const { return error_; }
 
-  /// Charges the I/O for reading entry `pos` of a term's list; free when
-  /// the spill policy pinned the list.
-  void ChargeListRead(TermId term, uint64_t pos);
+  /// A term list's placement, resolved once per mine by ListHandleOf:
+  /// the device range id of a spilled list, or kPinnedList when the spill
+  /// policy pinned it. The charge points take the handle so the per-entry
+  /// path does no term-keyed lookup.
+  using ListHandle = uint32_t;
+  static constexpr ListHandle kPinnedList = ~0u;
 
-  /// Charges the I/O for streaming the first `entries` entries of a
-  /// term's list sequentially (the SMJ construction/scan access pattern);
-  /// free when pinned. One Read covering the whole prefix, so the device
-  /// sees the sequential access instead of per-entry touches.
-  void ChargeListScan(TermId term, uint64_t entries);
+  /// Resolves `term`'s handle. The term's list must be non-empty: empty
+  /// lists register no device range and are never read.
+  ListHandle ListHandleOf(TermId term) const;
+
+  /// Charges the I/O for reading entry `pos` of a list; free when the
+  /// spill policy pinned it.
+  void ChargeListRead(ListHandle list, uint64_t pos) {
+    if (list != kPinnedList) {
+      ChargeRange(list, pos * kListEntryBytes, kListEntryBytes);
+    }
+  }
+
+  /// Charges the I/O for streaming the first `entries` entries of a list
+  /// sequentially (the SMJ construction/scan access pattern); free when
+  /// pinned. One Read covering the whole prefix, so the device sees the
+  /// sequential access instead of per-entry touches.
+  void ChargeListScan(ListHandle list, uint64_t entries) {
+    if (list != kPinnedList && entries != 0) {
+      ChargeRange(list, 0, entries * kListEntryBytes);
+    }
+  }
 
   /// Charges the I/O for the final phrase-text lookup of a result id
   /// (a random access into the phrase list file; always device-resident).
@@ -189,6 +208,11 @@ class DiskResidentLists {
   /// file. Reads resident_ (empty on the all-spill path) and layout_ for
   /// the on-device offsets of backed ranges.
   void PlaceAndRegister();
+
+  /// The one charge implementation behind every charge point: admits the
+  /// read (cancel flag, latched error, "disk.read" failpoint), then reads
+  /// [offset, offset + n) of device range `range`.
+  void ChargeRange(uint32_t range, uint64_t offset, uint64_t n);
 
   const WordScoreLists& lists_;
   const PhraseListFile& phrase_file_;

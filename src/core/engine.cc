@@ -600,8 +600,10 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         std::unordered_set<TermId> charged;
         for (TermId t : query.terms) {
           if (!charged.insert(t).second) continue;
-          tier.ChargeListScan(
-              t, word_lists_->Partial(t, smj_fraction_).size());
+          const uint64_t entries =
+              word_lists_->Partial(t, smj_fraction_).size();
+          if (entries == 0) continue;  // empty lists have no device range
+          tier.ChargeListScan(tier.ListHandleOf(t), entries);
         }
         const DiskStats& stats = tier.device().stats();
         result.disk_ms = stats.cost_ms;

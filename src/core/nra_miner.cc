@@ -26,6 +26,8 @@ struct ListState {
   std::size_t pos = 0;        // next entry to read
   std::size_t limit = 0;      // traversal cap (partial lists)
   std::size_t full_len = 0;   // untruncated length
+  // Disk-tier placement, resolved once at setup (pinned: reads are free).
+  DiskResidentLists::ListHandle disk = DiskResidentLists::kPinnedList;
   // Score of the last entry read; +inf until the first read so that bounds
   // stay trivially safe before every list has been touched.
   double last_score = kPlusInfinity;
@@ -78,6 +80,10 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
     lists[i].full_len = lists[i].entries.size();
     lists[i].limit = static_cast<std::size_t>(
         std::ceil(fraction * static_cast<double>(lists[i].full_len)));
+    // Empty lists register no device range and are never read.
+    if (disk_lists_ != nullptr && lists[i].full_len != 0) {
+      lists[i].disk = disk_lists_->ListHandleOf(query.terms[i]);
+    }
   }
 
   // Bound on scores not yet seen from list i: while entries remain, the
@@ -209,7 +215,7 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
       read_any = true;
       const ListEntry& entry = l.entries[l.pos];
       if (disk_lists_ != nullptr) {
-        disk_lists_->ChargeListRead(l.term, l.pos);
+        disk_lists_->ChargeListRead(l.disk, l.pos);
       }
       ++l.pos;
       ++result.entries_read;

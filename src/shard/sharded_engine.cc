@@ -1110,7 +1110,7 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
       for (std::size_t s = 0; s < n && fill_span != nullptr; ++s) {
         fill_shard_spans[s] = AddSpan(fill_span, "shard " + std::to_string(s));
       }
-      ParallelOverShards([&](std::size_t s) {
+      auto fill_leg = [&](std::size_t s) {
         SpanTimer span_timer(fill_shard_spans[s]);
         // Sibling aborted: leave this leg's fill empty (it sums as zero
         // supports; the abort check below discards the merge anyway).
@@ -1132,7 +1132,15 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
                         /*need_codf=*/IsTopKMode(mode), snaps[s], &fill[s]);
         }
         if (!ok) stale.store(true, std::memory_order_relaxed);
-      });
+      };
+      if (IsTopKMode(mode)) {
+        ParallelOverShards(fill_leg);
+      } else {
+        // An exhaustive merge fills only document frequencies -- one
+        // dictionary lookup per unreported candidate -- which costs less
+        // than a pool round's hand-offs and latch wait: run it here.
+        for (std::size_t s = 0; s < n; ++s) fill_leg(s);
+      }
       if (stale.load(std::memory_order_relaxed)) {
         std::this_thread::yield();
         continue;

@@ -9,7 +9,8 @@ namespace phrasemine {
 /// modeled backend (SimulatedDisk) fetches and cost_ms are charges from
 /// the Section 5.5 cost model; for the measured backend (MappedDisk)
 /// fetches are first touches of real mapped blocks and cost_ms is the
-/// wall time spent touching them.
+/// wall time of those fetches (touches of already-fetched blocks are not
+/// timed).
 struct DiskStats {
   uint64_t page_requests = 0;    ///< Logical page touches.
   uint64_t cache_hits = 0;       ///< Served from cache / already-touched.

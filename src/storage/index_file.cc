@@ -438,7 +438,11 @@ void MappedDisk::Read(uint32_t file, uint64_t offset, uint64_t n) {
                "read past end of registered range");
   stats_.bytes_read += n;
 
-  const auto start = std::chrono::steady_clock::now();
+  // The clock starts at the call's first block fetch: touches of
+  // already-fetched blocks are bitmap lookups, and timing them would cost
+  // more than the lookups themselves.
+  std::chrono::steady_clock::time_point start;
+  bool fetched = false;
   const uint64_t range_first = r.base / kBlockBytes;
   const uint64_t first = (r.base + offset) / kBlockBytes;
   const uint64_t last = (r.base + offset + n - 1) / kBlockBytes;
@@ -452,6 +456,10 @@ void MappedDisk::Read(uint32_t file, uint64_t offset, uint64_t n) {
       continue;
     }
     word |= mask;
+    if (!fetched) {
+      fetched = true;
+      start = std::chrono::steady_clock::now();
+    }
     const bool sequential = has_last_block_ && block == last_block_ + 1;
     if (sequential) {
       ++stats_.sequential_fetches;
@@ -468,7 +476,7 @@ void MappedDisk::Read(uint32_t file, uint64_t offset, uint64_t n) {
           *static_cast<const volatile uint8_t*>(file_->data() + addr));
     }
   }
-  stats_.cost_ms += ElapsedMs(start);
+  if (fetched) stats_.cost_ms += ElapsedMs(start);
 }
 
 void MappedDisk::Reset() {

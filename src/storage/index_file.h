@@ -151,10 +151,12 @@ class IndexFile {
 /// mapped bytes and reports what happened -- blocks are first touches of
 /// kIndexPageBytes-sized blocks of the mapping, sequential/random is
 /// decided by block adjacency (same head-position rule as the simulator),
-/// and cost_ms is the wall time spent touching. Ranges registered at
-/// kNoOffset (structures built after load, with no bytes in the file) are
-/// accounted arithmetically over a synthetic address space past the end
-/// of the file and never dereferenced.
+/// and cost_ms is the wall time of block fetches: each Read is timed from
+/// its first fetch (first touch, page fault included) to its end, and a
+/// Read whose blocks were all touched already adds nothing. Ranges
+/// registered at kNoOffset (structures built after load, with no bytes in
+/// the file) are accounted arithmetically over a synthetic address space
+/// past the end of the file and never dereferenced.
 ///
 /// Reset() clears the touch state so the next reads count cold again; on
 /// POSIX it also madvise(MADV_DONTNEED)s the mapping so the kernel drops

@@ -5,6 +5,7 @@
 // deadline never fires, and the service's deadline surface end to end.
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -285,24 +286,17 @@ TEST(DeadlineTest, FleetCountFillPollsTheToken) {
   }
 }
 
-TEST(DeadlineTest, RunningShardedMineCancelsWithinTwoBatches) {
-  // The acceptance bound: an expiring deadline stops a *running* sharded
-  // mine within two block-check intervals per shard leg, asserted via the
-  // trace's entries_at_cancel counter. A latency failpoint on the
-  // simulated device makes every spilled read slow (budget 0: everything
-  // spills), so a short deadline reliably fires inside the first NRA
-  // batch and the batch-cadence check must catch it at the next boundary.
-  ShardedEngineOptions options;
-  options.num_shards = 2;
-  options.disk_backed = true;
-  options.disk_budget_per_shard = 0;
-  options.engine.extractor.min_df = 3;
-  ShardedEngine sharded =
-      ShardedEngine::Build(MakeSmallSyntheticCorpus(700), std::move(options));
-  const Query query = HeavyQuery(sharded.shard(0));
-
+/// The acceptance bound: an expiring deadline stops a *running* sharded
+/// kNraDisk mine within two block-check intervals per shard leg, asserted
+/// via the trace's entries_at_cancel counter. A latency failpoint at
+/// `device_site` makes every spilled read slow, so a short deadline
+/// reliably fires inside the first NRA batch and the batch-cadence check
+/// must catch it at the next boundary.
+void ExpectRunningMineCancelsWithinTwoBatches(ShardedEngine& sharded,
+                                              const Query& query,
+                                              const std::string& device_site) {
   constexpr std::size_t kBatch = 64;
-  failpoint::Arm("disk.sim.read", {.delay_ms = 0.5});
+  failpoint::Arm(device_site, {.delay_ms = 0.5});
   const CancelToken deadline = CancelToken::AfterMillis(1.0);
   MineOptions mine_options;
   mine_options.trace = true;
@@ -331,6 +325,49 @@ TEST(DeadlineTest, RunningShardedMineCancelsWithinTwoBatches) {
       sharded.Mine(query, Algorithm::kNraDisk, MineOptions{});
   EXPECT_TRUE(ok.result.status.ok());
   EXPECT_FALSE(ok.result.phrases.empty());
+  EXPECT_GT(ok.result.disk_io.blocks_read, 0u);
+}
+
+TEST(DeadlineTest, RunningShardedMineCancelsWithinTwoBatches) {
+  // Simulated devices, budget 0: everything spills.
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.disk_backed = true;
+  options.disk_budget_per_shard = 0;
+  options.engine.extractor.min_df = 3;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(700), std::move(options));
+  ExpectRunningMineCancelsWithinTwoBatches(
+      sharded, HeavyQuery(sharded.shard(0)), "disk.sim.read");
+}
+
+TEST(DeadlineTest, RunningMappedFleetMineCancelsWithinTwoBatches) {
+  // The same bound over a fleet reopened from its index files, whose
+  // tiers measure real mapped reads (MappedDisk) through per-term list
+  // handles, budget 0.
+  const std::string prefix = ::testing::TempDir() + "/deadline_mapped";
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.engine.extractor.min_df = 3;
+  ShardedEngine built =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(700), options);
+  const Query query = HeavyQuery(built.shard(0));
+  for (std::size_t s = 0; s < built.num_shards(); ++s) {
+    built.shard(s).EnsureWordLists(query.terms);
+  }
+  ASSERT_TRUE(built.SaveToFiles(prefix).ok());
+  options.disk_backed = true;
+  options.disk_budget_per_shard = 0;
+  auto loaded = ShardedEngine::LoadFromFiles(prefix, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ShardedEngine& sharded = loaded.value();
+  ASSERT_NE(sharded.shard(0).index_file(), nullptr);
+  ExpectRunningMineCancelsWithinTwoBatches(sharded, query, "disk.mapped.read");
+
+  std::remove(ShardedEngine::FleetManifestPath(prefix).c_str());
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    std::remove(ShardedEngine::ShardFilePath(prefix, s).c_str());
+  }
 }
 
 /// True when the span tree holds a span with this name.

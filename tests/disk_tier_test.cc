@@ -4,15 +4,22 @@
 // routing over a real disk-backed engine.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/disk_lists.h"
 #include "core/engine.h"
+#include "core/nra_miner.h"
 #include "index/list_entry.h"
 #include "service/planner.h"
 #include "shard/sharded_engine.h"
+#include "storage/index_file.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -59,6 +66,69 @@ Query HeavyQuery(const MiningEngine& engine) {
   query.terms = {terms.at(0), terms.at(1)};
   std::sort(query.terms.begin(), query.terms.end());
   return query;
+}
+
+/// FNV-1a over a ranked result's (phrase id, score bit pattern)
+/// sequence: a compact bitwise fingerprint of RankedSignature.
+uint64_t SignatureHash(const MineResult& result) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& [phrase, score] : testing::RankedSignature(result)) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &score, sizeof(bits));
+    mix(phrase);
+    mix(bits);
+  }
+  return h;
+}
+
+/// A fixed kNraDisk query set over `engine`'s df order: hot and cold
+/// terms, OR and AND, two and three terms, so both pinned and spilled
+/// lists are read under a half-of-the-lists budget.
+std::vector<Query> PinnedQueries(const MiningEngine& engine) {
+  std::vector<TermId> order;
+  for (TermId t = 0; t < engine.inverted().num_terms(); ++t) {
+    if (engine.inverted().df(t) > 0) order.push_back(t);
+  }
+  order = HotnessOrder(engine, order);
+  const std::size_t mid = order.size() / 2;
+  const std::size_t tail = order.size() * 3 / 4;
+  auto make = [](QueryOperator op, std::vector<TermId> terms) {
+    std::sort(terms.begin(), terms.end());
+    Query q;
+    q.op = op;
+    q.terms = std::move(terms);
+    return q;
+  };
+  return {
+      make(QueryOperator::kOr, {order.at(0), order.at(1)}),
+      make(QueryOperator::kAnd, {order.at(0), order.at(mid)}),
+      make(QueryOperator::kOr,
+           {order.at(mid), order.at(mid + 1), order.at(mid + 2)}),
+      make(QueryOperator::kOr, {order.at(2), order.at(tail)}),
+  };
+}
+
+/// Renders rows as a C++ initializer, so a deliberate accounting change
+/// can re-record the pinned constants from the failure message.
+std::string Render(const std::vector<std::vector<uint64_t>>& rows) {
+  std::string out = "{\n";
+  for (const auto& row : rows) {
+    out += "    {";
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s%lluull", i == 0 ? "" : ", ",
+                    static_cast<unsigned long long>(row[i]));
+      out += buf;
+    }
+    out += "},\n";
+  }
+  return out + "}";
 }
 
 TEST(DiskTierTest, ResidentSetPinsHottestStrictPrefix) {
@@ -135,14 +205,65 @@ TEST(DiskTierTest, ResidentReadsChargeNothingSpilledReadsCharge) {
   EXPECT_GT(tier.resident_bytes(), 0u);
   EXPECT_GT(tier.spilled_bytes(), 0u);
 
-  tier.ChargeListRead(hottest, 0);
+  tier.ChargeListRead(tier.ListHandleOf(hottest), 0);
   EXPECT_EQ(tier.device().stats().page_requests, 0u);
   EXPECT_DOUBLE_EQ(tier.device().stats().cost_ms, 0.0);
 
-  tier.ChargeListRead(coldest, 0);
+  tier.ChargeListRead(tier.ListHandleOf(coldest), 0);
   EXPECT_GT(tier.device().stats().page_requests, 0u);
   EXPECT_GT(tier.device().stats().cost_ms, 0.0);
   EXPECT_EQ(tier.device().stats().bytes_read, kListEntryBytes);
+}
+
+TEST(DiskTierTest, ListHandlesChargeLikeThePlacement) {
+  // A pinned list's handle is the pinned sentinel and its charges move
+  // no counter; a spilled list's handle charges exactly one entry read
+  // of its device range: one page request, 12 bytes, a cold seek, then a
+  // cache hit on the re-read.
+  MiningEngine engine = MakeSmallEngine();
+  const std::vector<TermId> order =
+      HotnessOrder(engine, BuildAllLists(engine));
+  const TermId hottest = order.front();
+  const TermId coldest = order.back();
+  ASSERT_GT(engine.word_lists().list(coldest).size(), 0u);
+
+  DiskTierOptions options;
+  options.resident_budget_bytes =
+      engine.word_lists().list(hottest).size() * kListEntryInMemoryBytes;
+  DiskResidentLists tier(engine.word_lists(), engine.phrase_file(),
+                         engine.inverted(), options);
+  const DiskResidentLists::ListHandle pinned = tier.ListHandleOf(hottest);
+  const DiskResidentLists::ListHandle spilled = tier.ListHandleOf(coldest);
+  EXPECT_EQ(pinned, DiskResidentLists::kPinnedList);
+  EXPECT_NE(spilled, DiskResidentLists::kPinnedList);
+
+  tier.ChargeListRead(pinned, 0);
+  tier.ChargeListScan(pinned, 5);
+  const DiskStats& stats = tier.device().stats();
+  EXPECT_EQ(stats.page_requests, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.bytes_read, 0u);
+  EXPECT_EQ(stats.BlocksRead(), 0u);
+  EXPECT_EQ(stats.cost_ms, 0.0);
+
+  tier.ChargeListRead(spilled, 0);
+  EXPECT_EQ(stats.page_requests, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.bytes_read, kListEntryBytes);
+  EXPECT_EQ(stats.BlocksRead(), 1u);
+  EXPECT_EQ(stats.Seeks(), 1u);
+  EXPECT_GT(stats.cost_ms, 0.0);
+  tier.ChargeListRead(spilled, 0);
+  EXPECT_EQ(stats.page_requests, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.BlocksRead(), 1u);
+
+  // A cancelled query's charges are free through a handle too.
+  const CancelToken cancel = CancelToken::AfterMillis(-1.0);
+  ASSERT_TRUE(cancel.Expired());
+  tier.BeginQuery(&cancel);
+  tier.ChargeListRead(spilled, 1);
+  EXPECT_EQ(stats.page_requests, 2u);
 }
 
 TEST(DiskTierTest, BudgetZeroMatchesLegacyAllSpillConstruction) {
@@ -159,8 +280,8 @@ TEST(DiskTierTest, BudgetZeroMatchesLegacyAllSpillConstruction) {
   // Same read pattern, same charge.
   for (TermId t : terms) {
     if (engine.word_lists().list(t).empty()) continue;
-    legacy.ChargeListRead(t, 0);
-    tier.ChargeListRead(t, 0);
+    legacy.ChargeListRead(legacy.ListHandleOf(t), 0);
+    tier.ChargeListRead(tier.ListHandleOf(t), 0);
   }
   EXPECT_DOUBLE_EQ(legacy.device().stats().cost_ms,
                    tier.device().stats().cost_ms);
@@ -282,6 +403,121 @@ TEST(DiskTierTest, PlannerRoutesDiskBackedEngineToNraDisk) {
   ASSERT_GE(spilled_nra, 0.0);
   EXPECT_DOUBLE_EQ(pinned_nra, mem_nra);
   EXPECT_GT(spilled_nra, pinned_nra);
+}
+
+TEST(DiskTierTest, DiskAccountingIsPinned) {
+  // The disk accounting as recorded before the per-term handles and the
+  // first-fetch clock: a 4-shard fleet persisted and reopened on
+  // MappedDisk at half its list bytes, plus a SimulatedDisk engine at
+  // budget 0, run a fixed kNraDisk query set; the ranked output, every
+  // leg's blocks/seeks/bytes and the devices' page_requests/cache_hits
+  // must stay exactly these constants.
+  const std::string prefix = ::testing::TempDir() + "/disk_pin";
+  constexpr std::size_t kShards = 4;
+  ShardedEngineOptions options;
+  options.num_shards = kShards;
+  options.engine.extractor.min_df = 3;
+  ShardedEngine built = ShardedEngine::Build(
+      testing::MakeSmallSyntheticCorpus(600), options);
+  const std::vector<Query> queries = PinnedQueries(built.shard(0));
+  uint64_t list_bytes = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (const Query& q : queries) built.shard(s).EnsureWordLists(q.terms);
+    list_bytes += built.shard(s).word_lists().InMemoryBytes();
+  }
+  ASSERT_TRUE(built.SaveToFiles(prefix).ok());
+  options.disk_backed = true;
+  options.disk_budget_per_shard = list_bytes / kShards / 2;
+  auto loaded = ShardedEngine::LoadFromFiles(prefix, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ShardedEngine& fleet = loaded.value();
+
+  MiningEngineOptions sim_options;
+  sim_options.disk_backed = true;
+  sim_options.disk_resident_budget = 0;
+  MiningEngine sim = MiningEngine::Build(
+      testing::MakeSmallSyntheticCorpus(600), sim_options);
+
+  const MineOptions mine{.k = 10};
+  std::vector<std::vector<uint64_t>> fleet_rows, mapped_rows, sim_rows;
+  for (const Query& q : queries) {
+    const ShardedMineResult m = fleet.Mine(q, Algorithm::kNraDisk, mine);
+    ASSERT_TRUE(m.result.status.ok());
+    ASSERT_EQ(m.shard_disk_io.size(), kShards);
+    std::vector<uint64_t> row{SignatureHash(m.result)};
+    for (const DiskIoStats& io : m.shard_disk_io) {
+      row.insert(row.end(), {io.blocks_read, io.seeks, io.bytes});
+    }
+    fleet_rows.push_back(std::move(row));
+
+    const MineResult r = sim.Mine(q, Algorithm::kNraDisk, mine);
+    ASSERT_TRUE(r.status.ok());
+    sim_rows.push_back({SignatureHash(r), r.disk_io.blocks_read,
+                        r.disk_io.seeks, r.disk_io.bytes});
+  }
+
+  // Device-level counters through the same tier + miner the engines
+  // run, one tier per shard over a MappedDisk on the shard's own file.
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const MiningEngine& shard = fleet.shard(s);
+    ASSERT_NE(shard.index_file(), nullptr);
+    DiskResidentLists tier(
+        shard.word_lists(), shard.phrase_file(), shard.inverted(),
+        DiskTierOptions{.resident_budget_bytes = options.disk_budget_per_shard},
+        std::make_unique<MappedDisk>(shard.index_file()));
+    NraMiner miner(&tier, shard.dict());
+    std::vector<uint64_t> row;
+    for (const Query& q : queries) {
+      ASSERT_TRUE(miner.Mine(q, mine).status.ok());
+      row.insert(row.end(), {tier.device().stats().page_requests,
+                             tier.device().stats().cache_hits});
+    }
+    mapped_rows.push_back(std::move(row));
+  }
+  {
+    DiskResidentLists tier(sim.word_lists(), sim.phrase_file(),
+                           sim.inverted(), DiskTierOptions{});
+    NraMiner miner(&tier, sim.dict());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(miner.Mine(queries[i], mine).status.ok());
+      sim_rows[i].insert(sim_rows[i].end(),
+                         {tier.device().stats().page_requests,
+                          tier.device().stats().cache_hits});
+    }
+  }
+
+  // Per query: signature hash, then each shard leg's blocks, seeks, bytes.
+  const std::vector<std::vector<uint64_t>> kFleet = {
+      {3632234071467416642ull, 1, 1, 1536, 1, 1, 1536, 1, 1, 1536, 1, 1, 1536},
+      {16093213829671392946ull, 2, 1, 3420, 4, 1, 9756, 3, 1, 5640, 2, 1,
+       5328},
+      {17005645516292919761ull, 5, 3, 9720, 7, 6, 14484, 6, 4, 11112, 5, 3,
+       9564},
+      {8716254285476824970ull, 13, 3, 42108, 12, 3, 42372, 12, 3, 41052, 2, 1,
+       3072},
+  };
+  // Per shard: page_requests, cache_hits of each query in turn.
+  const std::vector<std::vector<uint64_t>> kMapped = {
+      {138, 136, 139, 136, 821, 816, 3525, 3504},
+      {138, 136, 139, 136, 1220, 1213, 3547, 3530},
+      {138, 136, 481, 473, 937, 923, 3438, 3416},
+      {138, 136, 138, 135, 808, 795, 266, 264},
+  };
+  // Per query: signature hash, blocks, seeks, bytes, page_requests,
+  // cache_hits.
+  const std::vector<std::vector<uint64_t>> kSim = {
+      {15124225530793895362ull, 4, 3, 3572, 266, 263},
+      {6213530580003485206ull, 5, 3, 41312, 3411, 3408},
+      {8739915307777904010ull, 6, 4, 24452, 2006, 2001},
+      {764575753161774576ull, 6, 5, 34280, 2825, 2821},
+  };
+  EXPECT_EQ(fleet_rows, kFleet) << Render(fleet_rows);
+  EXPECT_EQ(mapped_rows, kMapped) << Render(mapped_rows);
+  EXPECT_EQ(sim_rows, kSim) << Render(sim_rows);
+  std::remove(ShardedEngine::FleetManifestPath(prefix).c_str());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    std::remove(ShardedEngine::ShardFilePath(prefix, s).c_str());
+  }
 }
 
 }  // namespace

@@ -202,6 +202,35 @@ TEST(MappedDiskTest, ColdReadThenCacheHit) {
   std::remove(path.c_str());
 }
 
+TEST(MappedDiskTest, OnlyBlockFetchesAreTimed) {
+  // cost_ms is the wall time of block fetches: a Read whose blocks were
+  // all touched already adds nothing to it (bitwise), only cache hits.
+  const std::string path = WriteSample("clock.pmidx");
+  auto file = IndexFile::Open(path);
+  ASSERT_TRUE(file.ok());
+  MappedDisk disk(&file.value());
+  const uint32_t r = disk.RegisterRange(
+      file.value().section_offset(IndexSection::kWordScoreLists), 10000);
+
+  disk.Read(r, 0, 4096);  // fetches block 0
+  const DiskStats cold = disk.stats();
+  EXPECT_EQ(cold.BlocksRead(), 1u);
+  EXPECT_GE(cold.cost_ms, 0.0);
+
+  for (int i = 0; i < 100; ++i) disk.Read(r, 12 * i, 12);  // block 0 again
+  const DiskStats warm = disk.stats();
+  EXPECT_EQ(warm.cost_ms, cold.cost_ms);
+  EXPECT_EQ(warm.cache_hits, cold.cache_hits + 100);
+  EXPECT_EQ(warm.BlocksRead(), cold.BlocksRead());
+  EXPECT_EQ(warm.page_requests, cold.page_requests + 100);
+
+  disk.Read(r, 4096, 12);  // fetches block 1
+  EXPECT_GE(disk.stats().cost_ms, warm.cost_ms);
+  EXPECT_EQ(disk.stats().BlocksRead(), warm.BlocksRead() + 1);
+  EXPECT_EQ(disk.stats().cache_hits, warm.cache_hits);
+  std::remove(path.c_str());
+}
+
 TEST(MappedDiskTest, UnbackedRangesAccountArithmetically) {
   // Ranges registered at kNoOffset (structures with no bytes in any file)
   // are charged over a synthetic address space and never dereferenced --
