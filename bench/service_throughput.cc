@@ -120,15 +120,18 @@ int Main() {
   // --- Serial baseline: planner-chosen algorithm, no caches ---------------
   // A separate engine so the service's lazily shared state cannot help it.
   MiningEngine serial_engine = BuildEngine(num_docs);
-  CostPlanner serial_planner(&serial_engine);
   // Pre-plan outside the timed region (the service amortizes planning the
   // same way through its result cache).
   std::vector<std::pair<Query, Algorithm>> serial_plan;
   serial_plan.reserve(workload.size());
   for (const ServiceRequest& request : workload) {
     const Query canonical = CanonicalizeQuery(request.query);
+    const PlannerInputs inputs = CostPlanner::GatherInputs(
+        serial_engine, canonical, request.options,
+        serial_engine.delta_snapshot());
     serial_plan.emplace_back(
-        canonical, serial_planner.Plan(canonical, request.options).algorithm);
+        canonical, CostPlanner::PlanFromInputs(inputs, PlannerOptions{})
+                       .algorithm);
   }
   StopWatch serial_watch;
   for (const auto& [query, algorithm] : serial_plan) {

@@ -56,8 +56,9 @@ int main() {
       engine.corpus().vocab().Lookup("talks")});
   double base_prob = 0.0;
   engine.EnsureWordLists(std::vector<TermId>{bank});
-  for (const ListEntry& e : engine.word_lists().list(bank)) {
-    if (e.phrase == merger_talks) base_prob = e.prob;
+  const SoABlockList& bank_list = engine.word_lists().list(bank);
+  for (std::size_t i = 0; i < bank_list.size(); ++i) {
+    if (bank_list.ids()[i] == merger_talks) base_prob = bank_list.probs()[i];
   }
   std::printf("\nP(bank | \"merger talks\") in the stored list: %.3f\n",
               base_prob);

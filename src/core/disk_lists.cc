@@ -63,8 +63,7 @@ std::unordered_set<TermId> DiskResidentLists::ResidentSet(
   const std::vector<TermId> terms = HotnessOrder(lists, inverted, observed);
   uint64_t remaining = budget_bytes;
   for (TermId t : terms) {
-    const uint64_t bytes = static_cast<uint64_t>(lists.list(t).size()) *
-                           kListEntryInMemoryBytes;
+    const uint64_t bytes = lists.ListBytes(t);
     // Strict prefix: the first list that does not fit ends the pinning,
     // so the spilled set is exactly the cold tail of the hotness order
     // (no best-fit backfilling -- predictability over packing).
@@ -93,24 +92,15 @@ DiskResidentLists::DiskResidentLists(const WordScoreLists& lists,
   PlaceAndRegister();
 }
 
-DiskResidentLists::DiskResidentLists(const WordScoreLists& lists,
-                                     const PhraseListFile& phrase_file,
-                                     DiskOptions options)
-    : lists_(lists),
-      phrase_file_(phrase_file),
-      device_(std::make_unique<SimulatedDisk>(options)) {
-  options_.disk = options;  // budget 0: resident_ stays empty, all spills
-  PlaceAndRegister();
-}
-
 void DiskResidentLists::PlaceAndRegister() {
   for (TermId t : lists_.Terms()) {
-    const uint64_t entries = lists_.list(t).size();
+    // One byte unit: a pinned list costs in RAM what a spilled one
+    // occupies on the device.
+    const uint64_t bytes = lists_.ListBytes(t);
     if (resident_.contains(t)) {
-      resident_bytes_ += entries * kListEntryInMemoryBytes;
+      resident_bytes_ += bytes;
       continue;
     }
-    const uint64_t bytes = entries * kListEntryBytes;
     if (bytes == 0) continue;  // empty lists occupy no device range
     spilled_bytes_ += bytes;
     // A persisted list is backed by its entry run in the mapped file
@@ -118,7 +108,8 @@ void DiskResidentLists::PlaceAndRegister() {
     // load have no bytes in the file and register unbacked.
     uint64_t offset = DiskBackend::kNoOffset;
     auto run = layout_.entry_runs.find(t);
-    if (run != layout_.entry_runs.end() && run->second.second == entries) {
+    if (run != layout_.entry_runs.end() &&
+        run->second.second == lists_.list(t).size()) {
       offset = run->second.first;
     }
     list_files_.emplace(t, device_->RegisterRange(offset, bytes));

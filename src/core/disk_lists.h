@@ -33,13 +33,14 @@ struct DiskTierOptions {
   /// used by the modeled SimulatedDisk backend; a mapped backend measures
   /// instead of charging.
   DiskOptions disk;
-  /// RAM the tier may spend pinning word lists, in bytes of resident AoS
-  /// entries (kListEntryInMemoryBytes each). The spill policy pins the
-  /// hottest lists -- by term document frequency, ties to the smaller
-  /// TermId -- as a strict prefix of the hotness order: pinning stops at
-  /// the first list that does not fit, and everything colder spills to
-  /// the device (the "cold tail"). 0 means every list is disk-resident,
-  /// the paper's Section 5.5 protocol.
+  /// RAM the tier may spend pinning word lists, in bytes of resident
+  /// packed entries (kListEntryBytes each, WordScoreLists::ListBytes) --
+  /// the same bytes a spilled list occupies on the device. The spill
+  /// policy pins the hottest lists -- by term document frequency, ties to
+  /// the smaller TermId -- as a strict prefix of the hotness order:
+  /// pinning stops at the first list that does not fit, and everything
+  /// colder spills to the device (the "cold tail"). 0 means every list
+  /// is disk-resident, the paper's Section 5.5 protocol.
   uint64_t resident_budget_bytes = 0;
   /// Observed query counts driving the hotness order (see HotnessOrder).
   /// Null (the default) keeps the static df order; when set, terms with
@@ -98,13 +99,6 @@ class DiskResidentLists {
                     std::unique_ptr<DiskBackend> device = nullptr,
                     MappedListLayout layout = {});
 
-  /// Fully disk-resident tier (budget 0): every list spills, no hotness
-  /// order needed. The pre-tier construction path, kept for callers that
-  /// only want the Section 5.5 protocol.
-  DiskResidentLists(const WordScoreLists& lists,
-                    const PhraseListFile& phrase_file,
-                    DiskOptions options = {});
-
   DiskResidentLists(const DiskResidentLists&) = delete;
   DiskResidentLists& operator=(const DiskResidentLists&) = delete;
 
@@ -121,12 +115,12 @@ class DiskResidentLists {
 
   /// The spill policy, exposed so CostPlanner can predict placement
   /// without building a tier: terms of `lists` in HotnessOrder, pinned
-  /// while the next list's resident bytes
-  /// (entries * kListEntryInMemoryBytes) still fit the remaining budget;
-  /// the first list that does not fit ends the pinning and the whole tail
-  /// spills. Returns the pinned set -- always a strict prefix of
-  /// HotnessOrder(lists, inverted, observed), which is the invariant
-  /// feedback re-placement preserves (and tests assert).
+  /// while the next list's resident bytes (WordScoreLists::ListBytes)
+  /// still fit the remaining budget; the first list that does not fit
+  /// ends the pinning and the whole tail spills. Returns the pinned set
+  /// -- always a strict prefix of HotnessOrder(lists, inverted,
+  /// observed), which is the invariant feedback re-placement preserves
+  /// (and tests assert).
   static std::unordered_set<TermId> ResidentSet(
       const WordScoreLists& lists, const InvertedIndex& inverted,
       uint64_t budget_bytes, const TermPopularity* observed = nullptr);
@@ -186,7 +180,8 @@ class DiskResidentLists {
   /// True when the spill policy pinned this term's list in RAM.
   bool resident(TermId term) const { return resident_.contains(term); }
 
-  /// Resident bytes the pinned lists occupy (<= the budget).
+  /// Resident bytes the pinned lists occupy (<= the budget); with every
+  /// list pinned, WordScoreLists::InMemoryBytes().
   uint64_t resident_bytes() const { return resident_bytes_; }
   /// Packed bytes living on the device across spilled lists.
   uint64_t spilled_bytes() const { return spilled_bytes_; }
@@ -203,10 +198,9 @@ class DiskResidentLists {
   const DiskTierOptions& tier_options() const { return options_; }
 
  private:
-  /// Shared ctor tail: accounts resident bytes for pinned lists and
-  /// registers a device range per spilled non-empty list plus the phrase
-  /// file. Reads resident_ (empty on the all-spill path) and layout_ for
-  /// the on-device offsets of backed ranges.
+  /// Ctor tail: accounts resident bytes for pinned lists and registers a
+  /// device range per spilled non-empty list plus the phrase file. Reads
+  /// resident_ and layout_ for the on-device offsets of backed ranges.
   void PlaceAndRegister();
 
   /// The one charge implementation behind every charge point: admits the

@@ -383,7 +383,7 @@ void MiningEngine::EnsureIdOrderedLists(std::span<const TermId> terms) {
         if (id_lists_ != nullptr && id_lists_->Has(t)) continue;
         if (!word_lists_->Has(t)) continue;  // a rebuild raced: caller rechecks
         built.emplace_back(t, WordIdOrderedLists::PackPrefix(
-                                  word_lists_->Partial(t, fraction)));
+                                  word_lists_->list(t), fraction));
       }
     }
     if (built.empty()) return;
@@ -402,7 +402,7 @@ SharedSoAList MiningEngine::FullIdOrderedListLocked(TermId term) const {
     if (SharedSoAList cached = id_lists_->shared_soa(term)) return cached;
   }
   if (!word_lists_->Has(term)) return nullptr;
-  return WordIdOrderedLists::PackPrefix(word_lists_->list(term));
+  return WordIdOrderedLists::PackPrefix(word_lists_->list(term), 1.0);
 }
 
 void MiningEngine::InvalidateDerivedLists() {
@@ -601,7 +601,7 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         for (TermId t : query.terms) {
           if (!charged.insert(t).second) continue;
           const uint64_t entries =
-              word_lists_->Partial(t, smj_fraction_).size();
+              PartialLength(word_lists_->list(t).size(), smj_fraction_);
           if (entries == 0) continue;  // empty lists have no device range
           tier.ChargeListScan(tier.ListHandleOf(t), entries);
         }

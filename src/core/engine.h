@@ -176,8 +176,9 @@ struct MiningEngineOptions {
   /// per-block I/O for every spilled list. Off by default: the engine
   /// behaves exactly as before and kNraDisk stays an explicit request.
   bool disk_backed = false;
-  /// Resident-memory budget of the disk tier, in bytes of in-memory AoS
-  /// entries (kListEntryInMemoryBytes each): the spill policy pins the
+  /// Resident-memory budget of the disk tier, in bytes of packed list
+  /// entries (kListEntryBytes each, WordScoreLists::ListBytes -- what a
+  /// list costs in RAM and on the device alike): the spill policy pins the
   /// hottest lists by term df as a strict prefix of the hotness order
   /// and spills the cold tail (see DiskResidentLists::ResidentSet).
   /// 0 keeps every list on the device -- the paper's Section 5.5

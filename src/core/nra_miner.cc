@@ -1,7 +1,6 @@
 #include "core/nra_miner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -21,7 +20,8 @@ constexpr double kPlusInfinity = std::numeric_limits<double>::infinity();
 
 /// Per-list traversal state.
 struct ListState {
-  std::span<const ListEntry> entries;
+  const PhraseId* ids = nullptr;  // the packed score-ordered list
+  const double* probs = nullptr;
   TermId term = kInvalidTermId;
   std::size_t pos = 0;        // next entry to read
   std::size_t limit = 0;      // traversal cap (partial lists)
@@ -69,17 +69,17 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
   // P(q|p) = 0 contributes 0 to an OR sum and log(0) = -inf to an AND sum.
   const double absent_score =
       op == QueryOperator::kOr ? 0.0 : kMinusInfinity;
-  const double fraction = std::clamp(options.list_fraction, 0.0, 1.0);
 
   // --- List setup -----------------------------------------------------------
   const std::size_t r = query.terms.size();
   std::vector<ListState> lists(r);
   for (std::size_t i = 0; i < r; ++i) {
+    const SoABlockList& list = lists_.list(query.terms[i]);
     lists[i].term = query.terms[i];
-    lists[i].entries = lists_.list(query.terms[i]);
-    lists[i].full_len = lists[i].entries.size();
-    lists[i].limit = static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(lists[i].full_len)));
+    lists[i].ids = list.ids();
+    lists[i].probs = list.probs();
+    lists[i].full_len = list.size();
+    lists[i].limit = PartialLength(list.size(), options.list_fraction);
     // Empty lists register no device range and are never read.
     if (disk_lists_ != nullptr && lists[i].full_len != 0) {
       lists[i].disk = disk_lists_->ListHandleOf(query.terms[i]);
@@ -213,25 +213,25 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
       ListState& l = lists[i];
       if (l.pos >= l.limit) continue;
       read_any = true;
-      const ListEntry& entry = l.entries[l.pos];
+      const PhraseId phrase = l.ids[l.pos];
+      double prob = l.probs[l.pos];
       if (disk_lists_ != nullptr) {
         disk_lists_->ChargeListRead(l.disk, l.pos);
       }
       ++l.pos;
       ++result.entries_read;
 
-      double prob = entry.prob;
       if (options.delta != nullptr) {
-        prob = options.delta->AdjustedProb(l.term, entry.phrase, prob);
+        prob = options.delta->AdjustedProb(l.term, phrase, prob);
       }
       const double score = EntryScore(prob, op);
       l.last_score = score;
 
-      uint32_t& row = slot[entry.phrase];
+      uint32_t& row = slot[phrase];
       if (row == kNoSlot) {
         if (!checknew) continue;
         row = static_cast<uint32_t>(ids.size());
-        ids.push_back(entry.phrase);
+        ids.push_back(phrase);
         cands.push_back(Candidate{});
         result.peak_candidates = std::max(result.peak_candidates, ids.size());
       }

@@ -16,26 +16,20 @@ struct ListEntry {
   double prob;
 };
 
-/// Packed on-disk entry size: 4-byte id + 8-byte double, the figure the
-/// paper's Section 5.7 index-size accounting uses and the unit
-/// SimulatedDisk charges per entry. This is NOT sizeof(ListEntry): in
-/// memory the struct pads the id to alignof(double), so a resident AoS
-/// list costs kListEntryInMemoryBytes per entry (the SoA kernel layout
-/// packs ids and probs into separate arrays and pays exactly the packed
-/// figure instead). table5_index_sizes reports both so the paper-figure
-/// reproduction does not under-count RAM.
+/// Packed entry size: 4-byte id + 8-byte double, the figure the paper's
+/// Section 5.7 index-size accounting uses. It is the one byte unit of a
+/// list: what an entry occupies in the index file, what SimulatedDisk
+/// charges per entry, and what a resident list costs in memory, where
+/// every list is a packed SoABlockList (separate id and prob arrays).
 inline constexpr std::size_t kListEntryBytes = 12;
 
-/// Resident AoS entry size (padded).
+/// Size of one entry of the transient AoS build form (the struct pads the
+/// id to alignof(double)). No resident list is held in this form.
 inline constexpr std::size_t kListEntryInMemoryBytes = sizeof(ListEntry);
 
-static_assert(sizeof(ListEntry) == 16,
-              "ListEntry pads to 16 bytes in memory; kListEntryBytes (12) is "
-              "deliberately the packed on-disk figure, not sizeof");
-
-/// A word-specific list held by shared ownership. Lists are immutable once
-/// built, so one physical list can back an engine's lazy index, a service
-/// cache entry, and a per-query bundle simultaneously without copying.
+/// An AoS entry run by shared ownership: the output of the list builders
+/// (WordScoreLists::BuildOne, WordIdOrderedLists::IdOrderPrefix), packed
+/// into a SoABlockList before it is stored.
 using SharedWordList = std::shared_ptr<const std::vector<ListEntry>>;
 
 }  // namespace phrasemine

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
+
+#include "common/check.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define PHRASEMINE_X86_64 1
@@ -132,6 +135,15 @@ SoABlockList SoABlockList::FromIdOrdered(std::span<const ListEntry> entries) {
     list.probs_.push_back(e.prob);
   }
   list.BuildSkipHeaders();
+  return list;
+}
+
+SoABlockList SoABlockList::FromScoreOrdered(std::vector<PhraseId> ids,
+                                            std::vector<double> probs) {
+  PM_CHECK_MSG(ids.size() == probs.size(), "SoA arrays differ in length");
+  SoABlockList list;
+  list.ids_ = std::move(ids);
+  list.probs_ = std::move(probs);
   return list;
 }
 

@@ -35,18 +35,24 @@ std::size_t LowerBoundU32(const uint32_t* a, std::size_t n, std::size_t from,
 
 }  // namespace kernels
 
-/// Packed structure-of-arrays form of one id-ordered word list -- the only
-/// in-memory form of it (an id-ordered AoS `ListEntry` run is transient
-/// build input): phrase ids and probabilities live in two contiguous
-/// parallel arrays, split into fixed-size blocks with a per-block max-id
-/// skip header. The id array is what the merge kernels (core/kernels.h)
-/// actually scan, so a cache line carries 16 ids instead of 4 padded
-/// entries, and the skip headers let an AND intersection jump whole blocks
-/// without touching them. Probabilities are only loaded for positions a
-/// kernel lands on.
+/// Packed structure-of-arrays form of one word list -- the only in-memory
+/// form of a list in either order (an AoS `ListEntry` run is transient
+/// build input and the file format): phrase ids and probabilities live in
+/// two contiguous parallel arrays, exactly kListEntryBytes per entry
+/// (plus the id order's skip headers).
 ///
-/// Instances are immutable after construction (same sharing contract as
-/// SharedWordList).
+///   * Score-ordered (NRA input, prob desc then id asc): walked front to
+///     back. It carries no skip headers -- a block's max score is simply
+///     its first prob.
+///   * Id-ordered (SMJ input, strictly increasing ids): split into
+///     fixed-size blocks with a per-block max-id skip header. The id array
+///     is what the merge kernels (core/kernels.h) actually scan, so a
+///     cache line carries 16 ids instead of 4 padded entries, and the skip
+///     headers let an AND intersection jump whole blocks without touching
+///     them. Probabilities are only loaded for positions a kernel lands on.
+///
+/// Instances are immutable after construction and shared by pointer
+/// (SharedSoAList).
 class SoABlockList {
  public:
   /// Entries per block. 128 ids = 512 bytes = 8 cache lines per header,
@@ -56,8 +62,13 @@ class SoABlockList {
   SoABlockList() = default;
 
   /// Builds the SoA form of an id-ordered entry run (ids must be strictly
-  /// increasing, as WordIdOrderedLists guarantees).
+  /// increasing, as WordIdOrderedLists guarantees), skip headers included.
   static SoABlockList FromIdOrdered(std::span<const ListEntry> entries);
+
+  /// Adopts the parallel arrays of a score-ordered list (equal lengths).
+  /// No skip headers: SkipTo and BlockMaxAt are id-order only.
+  static SoABlockList FromScoreOrdered(std::vector<PhraseId> ids,
+                                       std::vector<double> probs);
 
   /// One-pass merge of an id-ordered list with id-ordered extra entries
   /// that share no phrase with it (the delta overlay's delta-only pairs):
@@ -71,18 +82,19 @@ class SoABlockList {
   const double* probs() const { return probs_.data(); }
 
   /// First position >= `from` whose id is >= `target`; size() when none.
-  /// Consults the block skip headers, so skipping far ahead costs one
-  /// binary search over headers plus one intra-block count instead of a
-  /// linear walk.
+  /// Id-ordered lists only. Consults the block skip headers, so skipping
+  /// far ahead costs one binary search over headers plus one intra-block
+  /// count instead of a linear walk.
   std::size_t SkipTo(std::size_t from, PhraseId target) const;
 
   /// Largest id of the block containing position `pos` (precondition:
-  /// pos < size()). The OR merge uses this as its per-block boundary.
+  /// pos < size(); id-ordered lists only). The OR merge uses this as its
+  /// per-block boundary.
   PhraseId BlockMaxAt(std::size_t pos) const {
     return block_max_[pos / kBlockEntries];
   }
 
-  /// Resident bytes of the SoA arrays (ids + probs + headers).
+  /// Resident bytes of the SoA arrays (ids + probs + any headers).
   std::size_t MemoryBytes() const;
 
  private:
@@ -94,9 +106,8 @@ class SoABlockList {
   std::vector<PhraseId> block_max_;  // skip headers, one per block
 };
 
-/// A shared immutable SoA list; built once per physical list and reusable
-/// across the engine's cached id-ordered lists and per-query overlay
-/// bundles, exactly like SharedWordList.
+/// A shared immutable SoA list; built once per physical list and shared by
+/// the engine's lists, per-query overlay bundles and the fleet's legs.
 using SharedSoAList = std::shared_ptr<const SoABlockList>;
 
 }  // namespace phrasemine

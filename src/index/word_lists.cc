@@ -39,7 +39,27 @@ std::vector<ListEntry> BuildOneList(const InvertedIndex& inverted,
   return list;
 }
 
+/// Packs a sorted score-ordered run into its resident SoA form.
+SharedSoAList PackScoreOrdered(const std::vector<ListEntry>& run) {
+  std::vector<PhraseId> ids;
+  std::vector<double> probs;
+  ids.reserve(run.size());
+  probs.reserve(run.size());
+  for (const ListEntry& e : run) {
+    ids.push_back(e.phrase);
+    probs.push_back(e.prob);
+  }
+  return std::make_shared<const SoABlockList>(
+      SoABlockList::FromScoreOrdered(std::move(ids), std::move(probs)));
+}
+
 }  // namespace
+
+std::size_t PartialLength(std::size_t n, double fraction) {
+  fraction = std::clamp(fraction, 0.0, 1.0);
+  return static_cast<std::size_t>(
+      std::ceil(fraction * static_cast<double>(n)));
+}
 
 WordScoreLists WordScoreLists::Build(const InvertedIndex& inverted,
                                      const ForwardIndex& forward,
@@ -49,9 +69,8 @@ WordScoreLists WordScoreLists::Build(const InvertedIndex& inverted,
   std::unordered_map<PhraseId, uint32_t> scratch;
   for (TermId t : terms) {
     if (result.lists_.contains(t)) continue;
-    result.lists_.emplace(t, std::make_shared<const std::vector<ListEntry>>(
-                                 BuildOneList(inverted, forward, dict, t,
-                                              &scratch)));
+    result.lists_.emplace(t, PackScoreOrdered(BuildOneList(
+                                 inverted, forward, dict, t, &scratch)));
   }
   return result;
 }
@@ -64,9 +83,8 @@ WordScoreLists WordScoreLists::BuildAll(const InvertedIndex& inverted,
   std::unordered_map<PhraseId, uint32_t> scratch;
   for (TermId t = 0; t < inverted.num_terms(); ++t) {
     if (inverted.df(t) < min_term_df) continue;
-    result.lists_.emplace(t, std::make_shared<const std::vector<ListEntry>>(
-                                 BuildOneList(inverted, forward, dict, t,
-                                              &scratch)));
+    result.lists_.emplace(t, PackScoreOrdered(BuildOneList(
+                                 inverted, forward, dict, t, &scratch)));
   }
   return result;
 }
@@ -80,30 +98,10 @@ SharedWordList WordScoreLists::BuildOne(const InvertedIndex& inverted,
       BuildOneList(inverted, forward, dict, term, &scratch));
 }
 
-std::span<const ListEntry> WordScoreLists::list(TermId term) const {
+const SoABlockList& WordScoreLists::list(TermId term) const {
+  static const SoABlockList kEmpty;
   auto it = lists_.find(term);
-  if (it == lists_.end()) return {};
-  return *it->second;
-}
-
-SharedWordList WordScoreLists::shared(TermId term) const {
-  auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second;
-}
-
-void WordScoreLists::Insert(TermId term, SharedWordList list) {
-  PM_CHECK_MSG(list != nullptr, "Insert requires a non-null list");
-  lists_.try_emplace(term, std::move(list));
-}
-
-std::span<const ListEntry> WordScoreLists::Partial(TermId term,
-                                                   double fraction) const {
-  std::span<const ListEntry> full = list(term);
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  const std::size_t n = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(full.size())));
-  return full.subspan(0, n);
+  return it == lists_.end() ? kEmpty : *it->second;
 }
 
 std::size_t WordScoreLists::TotalEntries() const {
@@ -112,22 +110,16 @@ std::size_t WordScoreLists::TotalEntries() const {
   return total;
 }
 
-std::size_t WordScoreLists::EntriesAt(double fraction) const {
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  std::size_t total = 0;
-  for (const auto& [term, list] : lists_) {
-    total += static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(list->size())));
-  }
-  return total;
-}
-
-std::size_t WordScoreLists::SizeBytes(double fraction) const {
-  return EntriesAt(fraction) * kListEntryBytes;
+std::size_t WordScoreLists::ListBytes(TermId term) const {
+  return list(term).size() * kListEntryBytes;
 }
 
 std::size_t WordScoreLists::InMemoryBytes(double fraction) const {
-  return EntriesAt(fraction) * kListEntryInMemoryBytes;
+  std::size_t entries = 0;
+  for (const auto& [term, list] : lists_) {
+    entries += PartialLength(list->size(), fraction);
+  }
+  return entries * kListEntryBytes;
 }
 
 void WordScoreLists::Merge(WordScoreLists&& other) {
@@ -152,12 +144,12 @@ void WordScoreLists::Serialize(BinaryWriter* writer) const {
   std::sort(terms.begin(), terms.end());
   writer->PutU32(static_cast<uint32_t>(terms.size()));
   for (TermId term : terms) {
-    const auto& list = lists_.at(term);
+    const SoABlockList& list = *lists_.at(term);
     writer->PutU32(term);
-    writer->PutU64(list->size());
-    for (const ListEntry& e : *list) {
-      writer->PutU32(e.phrase);
-      writer->PutDouble(e.prob);
+    writer->PutU64(list.size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      writer->PutU32(list.ids()[i]);
+      writer->PutDouble(list.probs()[i]);
     }
   }
 }
@@ -184,15 +176,17 @@ Result<WordScoreLists> WordScoreLists::Deserialize(BinaryReader* reader,
     if (layout != nullptr) {
       layout->entry_runs[term] = {reader->position() - origin, len};
     }
-    std::vector<ListEntry> list(static_cast<std::size_t>(len));
-    for (ListEntry& e : list) {
-      s = reader->GetU32(&e.phrase);
+    std::vector<PhraseId> ids(static_cast<std::size_t>(len));
+    std::vector<double> probs(static_cast<std::size_t>(len));
+    for (std::size_t e = 0; e < ids.size(); ++e) {
+      s = reader->GetU32(&ids[e]);
       if (!s.ok()) return s;
-      s = reader->GetDouble(&e.prob);
+      s = reader->GetDouble(&probs[e]);
       if (!s.ok()) return s;
     }
-    result.lists_.emplace(
-        term, std::make_shared<const std::vector<ListEntry>>(std::move(list)));
+    result.lists_.emplace(term, std::make_shared<const SoABlockList>(
+                                    SoABlockList::FromScoreOrdered(
+                                        std::move(ids), std::move(probs))));
   }
   return result;
 }
@@ -204,7 +198,7 @@ WordIdOrderedLists WordIdOrderedLists::Build(const WordScoreLists& score_lists,
                                              double fraction) {
   WordIdOrderedLists result(fraction);
   for (TermId t : score_lists.Terms()) {
-    result.Insert(t, PackPrefix(score_lists.Partial(t, result.fraction_)));
+    result.Insert(t, PackPrefix(score_lists.list(t), result.fraction_));
   }
   return result;
 }
@@ -219,8 +213,12 @@ SharedWordList WordIdOrderedLists::IdOrderPrefix(
   return std::make_shared<const std::vector<ListEntry>>(std::move(list));
 }
 
-SharedSoAList WordIdOrderedLists::PackPrefix(
-    std::span<const ListEntry> prefix) {
+SharedSoAList WordIdOrderedLists::PackPrefix(const SoABlockList& score_list,
+                                             double fraction) {
+  std::vector<ListEntry> prefix(PartialLength(score_list.size(), fraction));
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = ListEntry{score_list.ids()[i], score_list.probs()[i]};
+  }
   return std::make_shared<const SoABlockList>(
       SoABlockList::FromIdOrdered(*IdOrderPrefix(prefix)));
 }

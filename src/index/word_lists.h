@@ -18,15 +18,24 @@
 
 namespace phrasemine {
 
+/// Length of the paper's partial list covering `fraction` of an n-entry
+/// list: ceil(fraction * n), fraction clamped to [0, 1]. The one
+/// truncation rule behind NRA's traversal cap, the SMJ construction prefix
+/// and the byte accounting.
+std::size_t PartialLength(std::size_t n, double fraction);
+
 /// Word-specific phrase lists sorted by non-increasing P(q|p), ties broken
 /// by increasing phrase id (Section 4.2.2). Zero-probability phrases are
 /// omitted. These lists are the input of the NRA algorithm; truncating each
-/// to its top fraction gives the paper's "partial lists".
+/// to its top fraction (PartialLength) gives the paper's "partial lists".
+///
+/// Each term's list is held as one shared packed SoABlockList (without
+/// skip headers), kListEntryBytes per entry; the builders sort a transient
+/// AoS run and pack it.
 ///
 /// Threading: individual lists are immutable after construction, and all
-/// const member functions are safe to call concurrently. Mutations (Merge,
-/// Insert) require exclusive access; MiningEngine serializes them behind
-/// its internal lock.
+/// const member functions are safe to call concurrently. Merge requires
+/// exclusive access; MiningEngine serializes it behind its internal lock.
 class WordScoreLists {
  public:
   WordScoreLists() = default;
@@ -52,8 +61,8 @@ class WordScoreLists {
                                  const PhraseDictionary& dict,
                                  uint32_t min_term_df = 1);
 
-  /// Builds the score-ordered list of a single term; the output is
-  /// byte-identical to the per-term lists produced by Build/BuildAll.
+  /// Builds the score-ordered AoS run of a single term, the build input
+  /// Build/BuildAll pack: entry for entry the list they store.
   static SharedWordList BuildOne(const InvertedIndex& inverted,
                                  const ForwardIndex& forward,
                                  const PhraseDictionary& dict, TermId term);
@@ -61,19 +70,9 @@ class WordScoreLists {
   /// True if a list exists for this term (it may still be empty).
   bool Has(TermId term) const { return lists_.contains(term); }
 
-  /// Full score-ordered list for a term; empty span if absent.
-  std::span<const ListEntry> list(TermId term) const;
-
-  /// Shared handle to a term's list; nullptr if absent.
-  SharedWordList shared(TermId term) const;
-
-  /// Adds a prebuilt list for a term; keeps the existing list if one is
-  /// already present (all builders produce identical lists for a term).
-  void Insert(TermId term, SharedWordList list);
-
-  /// Prefix of the list covering `fraction` of its entries (ceil rounding),
-  /// the paper's partial-list view. fraction is clamped to [0, 1].
-  std::span<const ListEntry> Partial(TermId term, double fraction) const;
+  /// Full score-ordered list for a term; an empty list if absent. Valid
+  /// as long as the container.
+  const SoABlockList& list(TermId term) const;
 
   /// Number of terms with lists.
   std::size_t num_terms() const { return lists_.size(); }
@@ -81,12 +80,13 @@ class WordScoreLists {
   /// Total entries across all lists.
   std::size_t TotalEntries() const;
 
-  /// Index size in bytes at the packed 12 bytes/entry (Section 5.7
-  /// accounting), scaled by the partial-list fraction.
-  std::size_t SizeBytes(double fraction = 1.0) const;
+  /// Resident bytes of one term's list: entries * kListEntryBytes, the
+  /// figure the disk tier's spill policy budgets (0 if absent).
+  std::size_t ListBytes(TermId term) const;
 
-  /// Resident index size at sizeof(ListEntry) bytes/entry -- what the AoS
-  /// lists actually occupy in RAM (see kListEntryInMemoryBytes).
+  /// Resident bytes of every list truncated to `fraction` (PartialLength
+  /// per list) at kListEntryBytes per entry -- also the paper's Section
+  /// 5.7 index size, since memory and file share the packed unit.
   std::size_t InMemoryBytes(double fraction = 1.0) const;
 
   /// Terms that have lists, in unspecified order.
@@ -108,9 +108,10 @@ class WordScoreLists {
     std::unordered_map<TermId, std::pair<uint64_t, uint64_t>> entry_runs;
   };
 
-  /// Serialization to/from the library's binary format. The serialized
-  /// form is deterministic (terms written in ascending id order), so the
-  /// same lists always produce the same bytes -- a requirement for the
+  /// Serialization to/from the library's binary format: per term, an AoS
+  /// run of packed (u32 id, f64 prob) entries. The serialized form is
+  /// deterministic (terms written in ascending id order), so the same
+  /// lists always produce the same bytes -- a requirement for the
   /// checksummed index file sections.
   void Serialize(BinaryWriter* writer) const;
   /// When `layout` is non-null, records each term's entry-run location
@@ -119,11 +120,7 @@ class WordScoreLists {
                                             SerializedLayout* layout = nullptr);
 
  private:
-  /// Entries across all lists at a partial fraction (ceil per list), the
-  /// shared truncation rule behind both byte accountings.
-  std::size_t EntriesAt(double fraction) const;
-
-  std::unordered_map<TermId, SharedWordList> lists_;
+  std::unordered_map<TermId, SharedSoAList> lists_;
 };
 
 /// Word-specific lists re-ordered by increasing phrase id (Section 4.4.1,
@@ -158,15 +155,18 @@ class WordIdOrderedLists {
   static WordIdOrderedLists Build(const WordScoreLists& score_lists,
                                   double fraction);
 
-  /// Re-sorts one score-ordered list prefix by phrase id, the build-time
+  /// Re-sorts one score-ordered AoS prefix by phrase id, the build-time
   /// sort. The prefix must already be truncated to the desired fraction
-  /// (see WordScoreLists::Partial).
+  /// (see PartialLength).
   static SharedWordList IdOrderPrefix(std::span<const ListEntry> prefix);
 
-  /// IdOrderPrefix packed into its SoA form: the single-term unit of
-  /// Build, which MiningEngine also uses to build id-ordered lists term
-  /// by term.
-  static SharedSoAList PackPrefix(std::span<const ListEntry> prefix);
+  /// The id-ordered SoA list of `score_list`'s partial prefix at
+  /// `fraction`: the prefix is zipped into a transient AoS run, re-sorted
+  /// by IdOrderPrefix and packed by SoABlockList::FromIdOrdered. The
+  /// single-term unit of Build, which MiningEngine also uses to build
+  /// id-ordered lists term by term.
+  static SharedSoAList PackPrefix(const SoABlockList& score_list,
+                                  double fraction);
 
   bool Has(TermId term) const { return lists_.contains(term); }
 

@@ -46,25 +46,6 @@ std::string PlanDecision::ToString() const {
   return out;
 }
 
-CostPlanner::CostPlanner(const MiningEngine* engine, PlannerOptions options)
-    : engine_(engine), options_(options) {}
-
-PlanDecision CostPlanner::Plan(const Query& query,
-                               const MineOptions& options) const {
-  return Plan(query, options, engine_->delta_snapshot());
-}
-
-PlanDecision CostPlanner::Plan(const Query& query, const MineOptions& options,
-                               const EpochDelta& snap) const {
-  return PlanFromInputs(GatherInputs(*engine_, query, options, snap),
-                        options_);
-}
-
-PlannerInputs CostPlanner::GatherInputs(const Query& query,
-                                        const MineOptions& options) const {
-  return GatherInputs(*engine_, query, options, engine_->delta_snapshot());
-}
-
 PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
                                         const Query& query,
                                         const MineOptions& options,

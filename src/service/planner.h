@@ -106,8 +106,8 @@ struct PlannerOptions {
   double disk_random_block_cost = 2000.0;
 };
 
-/// Inputs of the pure cost model; CostPlanner::Plan gathers them from a
-/// MiningEngine, tests can synthesize them directly.
+/// Inputs of the pure cost model; CostPlanner::GatherInputs reads them
+/// from a MiningEngine, tests can synthesize them directly.
 struct PlannerInputs {
   std::size_t num_docs = 0;
   /// Average number of distinct phrases per document (forward-list length).
@@ -165,28 +165,14 @@ struct PlannerInputs {
 /// degrade as the overlay grows between rebuilds (the overlay cannot shift
 /// list lengths, which only change at a rebuild).
 ///
-/// Thread-safety: Plan() is const and gathers engine statistics under the
-/// engine's shared structure lock (so a concurrent rebuild cannot swap
-/// indexes mid-read); it is safe from any number of threads concurrently.
+/// Every entry point is static. GatherInputs reads engine statistics under
+/// the engine's shared structure lock (so a concurrent rebuild cannot swap
+/// indexes mid-read); all of them are safe from any number of threads
+/// concurrently. A service plans through ShardedEngine (one GatherInputs
+/// per shard) and PlanAcrossShards; a single engine plans with
+/// PlanFromInputs(GatherInputs(...)).
 class CostPlanner {
  public:
-  explicit CostPlanner(const MiningEngine* engine,
-                       PlannerOptions options = {});
-
-  /// Plans one query. `query` should be canonicalized (sorted unique
-  /// terms) so equal term sets produce identical decisions.
-  PlanDecision Plan(const Query& query, const MineOptions& options) const;
-
-  /// Same, against a caller-held update snapshot, so one request plans,
-  /// mines and cache-keys against a single consistent epoch.
-  PlanDecision Plan(const Query& query, const MineOptions& options,
-                    const EpochDelta& snap) const;
-
-  /// This engine's cost-model inputs for one query at its current
-  /// snapshot (see the static form below).
-  PlannerInputs GatherInputs(const Query& query,
-                             const MineOptions& options) const;
-
   /// The gathering primitive: reads `engine`'s cost-model inputs for one
   /// query (per-term delta-corrected dfs, the engine's own built-list
   /// lengths, corpus scalars) under its shared structure lock against the
@@ -198,7 +184,8 @@ class CostPlanner {
                                     const MineOptions& options,
                                     const EpochDelta& snap);
 
-  /// The pure cost model, exposed for decision-table tests.
+  /// The pure cost model over one engine's inputs (decision-table tests
+  /// synthesize them).
   static PlanDecision PlanFromInputs(const PlannerInputs& inputs,
                                      const PlannerOptions& options);
 
@@ -213,12 +200,6 @@ class CostPlanner {
   /// no "sharded(1)" prefix), so a one-engine service keeps its plans.
   static PlanDecision PlanAcrossShards(std::span<const PlannerInputs> shards,
                                        const PlannerOptions& options);
-
-  const PlannerOptions& options() const { return options_; }
-
- private:
-  const MiningEngine* engine_;
-  PlannerOptions options_;
 };
 
 }  // namespace phrasemine

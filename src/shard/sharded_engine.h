@@ -62,9 +62,11 @@ struct ShardedEngineOptions {
   /// rule). Merged with engine.disk_backed at Build (set on either
   /// surface wins) and written back to both.
   bool disk_backed = false;
-  /// Per-shard resident-memory budget of the disk tier, in bytes: each
-  /// shard's spill policy pins its own hottest lists (by its local term
-  /// dfs) up to this budget and spills the cold tail to its device (see
+  /// Per-shard resident-memory budget of the disk tier, in bytes of
+  /// packed list entries (kListEntryBytes each, like
+  /// engine.disk_resident_budget): each shard's spill policy pins its
+  /// own hottest lists (by its local term dfs) up to this budget and
+  /// spills the cold tail to its device (see
   /// DiskResidentLists::ResidentSet). 0 keeps every list on disk, the
   /// paper's Section 5.5 protocol. Placement moves only modeled cost:
   /// ranked output is bitwise identical across budgets. Merged with

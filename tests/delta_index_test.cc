@@ -145,7 +145,8 @@ TEST(DeltaIndexTest, AdjustedProbMatchesRebuiltIndex) {
     const PhraseId full_phrase = full_engine.dict().Find(full_tokens);
     if (full_phrase == kInvalidPhraseId) continue;  // df drifted below floor
     double reference = 0.0;
-    for (const ListEntry& e : full_engine.word_lists().list(full_term)) {
+    for (const ListEntry& e :
+         testing::Entries(full_engine.word_lists().list(full_term))) {
       if (e.phrase == full_phrase) {
         reference = e.prob;
         break;

@@ -136,10 +136,22 @@ TEST(DiskTierTest, ResidentSetPinsHottestStrictPrefix) {
   const std::vector<TermId> terms = BuildAllLists(engine);
   ASSERT_GT(terms.size(), 4u);
 
-  // Budget 0: everything spills.
+  // Budget 0: everything spills. A budget-0 tier pins nothing and lays
+  // every non-empty list out on the device.
   EXPECT_TRUE(DiskResidentLists::ResidentSet(engine.word_lists(),
                                              engine.inverted(), 0)
                   .empty());
+  const DiskResidentLists all_spilled(engine.word_lists(),
+                                      engine.phrase_file(), engine.inverted(),
+                                      DiskTierOptions{});
+  std::size_t non_empty = 0;
+  for (TermId t : terms) {
+    if (!engine.word_lists().list(t).empty()) ++non_empty;
+  }
+  EXPECT_EQ(all_spilled.num_resident(), 0u);
+  EXPECT_EQ(all_spilled.resident_bytes(), 0u);
+  EXPECT_EQ(all_spilled.num_spilled(), non_empty);
+  EXPECT_EQ(all_spilled.spilled_bytes(), engine.word_lists().InMemoryBytes());
 
   // Budget covering every list: everything pinned.
   const uint64_t all_bytes = engine.word_lists().InMemoryBytes();
@@ -160,8 +172,7 @@ TEST(DiskTierTest, ResidentSetPinsHottestStrictPrefix) {
   uint64_t used = 0;
   bool stopped = false;
   for (TermId t : order) {
-    const uint64_t bytes =
-        engine.word_lists().list(t).size() * kListEntryInMemoryBytes;
+    const uint64_t bytes = engine.word_lists().ListBytes(t);
     if (!stopped && used + bytes <= budget) {
       used += bytes;
       EXPECT_TRUE(resident.contains(t)) << "hot term " << t << " not pinned";
@@ -196,8 +207,7 @@ TEST(DiskTierTest, ResidentReadsChargeNothingSpilledReadsCharge) {
   ASSERT_GT(engine.word_lists().list(coldest).size(), 0u);
 
   DiskTierOptions options;
-  options.resident_budget_bytes =
-      engine.word_lists().list(hottest).size() * kListEntryInMemoryBytes;
+  options.resident_budget_bytes = engine.word_lists().ListBytes(hottest);
   DiskResidentLists tier(engine.word_lists(), engine.phrase_file(),
                          engine.inverted(), options);
   ASSERT_TRUE(tier.resident(hottest));
@@ -228,8 +238,7 @@ TEST(DiskTierTest, ListHandlesChargeLikeThePlacement) {
   ASSERT_GT(engine.word_lists().list(coldest).size(), 0u);
 
   DiskTierOptions options;
-  options.resident_budget_bytes =
-      engine.word_lists().list(hottest).size() * kListEntryInMemoryBytes;
+  options.resident_budget_bytes = engine.word_lists().ListBytes(hottest);
   DiskResidentLists tier(engine.word_lists(), engine.phrase_file(),
                          engine.inverted(), options);
   const DiskResidentLists::ListHandle pinned = tier.ListHandleOf(hottest);
@@ -264,29 +273,6 @@ TEST(DiskTierTest, ListHandlesChargeLikeThePlacement) {
   tier.BeginQuery(&cancel);
   tier.ChargeListRead(spilled, 1);
   EXPECT_EQ(stats.page_requests, 2u);
-}
-
-TEST(DiskTierTest, BudgetZeroMatchesLegacyAllSpillConstruction) {
-  MiningEngine engine = MakeSmallEngine();
-  const std::vector<TermId> terms = BuildAllLists(engine);
-
-  DiskResidentLists legacy(engine.word_lists(), engine.phrase_file());
-  DiskResidentLists tier(engine.word_lists(), engine.phrase_file(),
-                         engine.inverted(), DiskTierOptions{});
-  EXPECT_EQ(legacy.num_spilled(), tier.num_spilled());
-  EXPECT_EQ(legacy.spilled_bytes(), tier.spilled_bytes());
-  EXPECT_EQ(tier.num_resident(), 0u);
-
-  // Same read pattern, same charge.
-  for (TermId t : terms) {
-    if (engine.word_lists().list(t).empty()) continue;
-    legacy.ChargeListRead(legacy.ListHandleOf(t), 0);
-    tier.ChargeListRead(tier.ListHandleOf(t), 0);
-  }
-  EXPECT_DOUBLE_EQ(legacy.device().stats().cost_ms,
-                   tier.device().stats().cost_ms);
-  EXPECT_EQ(legacy.device().stats().page_requests,
-            tier.device().stats().page_requests);
 }
 
 TEST(DiskTierTest, EngineResultsIdenticalAcrossBudgets) {
@@ -356,26 +342,29 @@ TEST(DiskTierTest, PlannerRoutesDiskBackedEngineToNraDisk) {
   disk_engine.EnsureWordLists(query.terms);
   mem_engine.EnsureWordLists(query.terms);
 
-  CostPlanner disk_planner(&disk_engine);
-  CostPlanner mem_planner(&mem_engine);
+  auto gather = [&](const MiningEngine& engine) {
+    return CostPlanner::GatherInputs(engine, query, MineOptions{},
+                                     engine.delta_snapshot());
+  };
+  auto plan = [&](const MiningEngine& engine) {
+    return CostPlanner::PlanFromInputs(gather(engine), PlannerOptions{});
+  };
 
-  const PlannerInputs disk_inputs =
-      disk_planner.GatherInputs(query, MineOptions{});
+  const PlannerInputs disk_inputs = gather(disk_engine);
   EXPECT_TRUE(disk_inputs.disk_backed);
   for (const TermPlanStats& t : disk_inputs.terms) {
     EXPECT_TRUE(t.on_disk) << "budget 0 must spill term " << t.term;
     EXPECT_GT(t.disk_blocks, 0u);
   }
-  const PlannerInputs mem_inputs =
-      mem_planner.GatherInputs(query, MineOptions{});
+  const PlannerInputs mem_inputs = gather(mem_engine);
   EXPECT_FALSE(mem_inputs.disk_backed);
   for (const TermPlanStats& t : mem_inputs.terms) {
     EXPECT_FALSE(t.on_disk);
     EXPECT_EQ(t.disk_blocks, 0u);
   }
 
-  const PlanDecision disk_plan = disk_planner.Plan(query, MineOptions{});
-  const PlanDecision mem_plan = mem_planner.Plan(query, MineOptions{});
+  const PlanDecision disk_plan = plan(disk_engine);
+  const PlanDecision mem_plan = plan(mem_engine);
   for (const auto& [algorithm, cost] : disk_plan.estimated_costs) {
     EXPECT_NE(algorithm, Algorithm::kNra)
         << "disk-backed engines must cost the NRA candidate as kNraDisk";
@@ -387,7 +376,7 @@ TEST(DiskTierTest, PlannerRoutesDiskBackedEngineToNraDisk) {
   // cost collapses to the in-memory kNra cost (same model, new label).
   disk_engine.SetDiskResidentBudget(
       disk_engine.word_lists().InMemoryBytes());
-  const PlanDecision pinned_plan = disk_planner.Plan(query, MineOptions{});
+  const PlanDecision pinned_plan = plan(disk_engine);
   double pinned_nra = -1.0, mem_nra = -1.0, spilled_nra = -1.0;
   for (const auto& [algorithm, cost] : pinned_plan.estimated_costs) {
     if (algorithm == Algorithm::kNraDisk) pinned_nra = cost;

@@ -35,7 +35,7 @@ std::vector<TermId> BuildAllLists(MiningEngine& engine) {
 }
 
 uint64_t ListBytes(const MiningEngine& engine, TermId t) {
-  return engine.word_lists().list(t).size() * kListEntryInMemoryBytes;
+  return engine.word_lists().ListBytes(t);
 }
 
 /// A two-term OR query over the engine's highest-df terms.
@@ -193,8 +193,11 @@ TEST(FeedbackPlacementTest, PlannerSurfacesObservedQueriesPrior) {
   for (TermId t : query.terms) budget += ListBytes(engine, t);
   engine.SetDiskResidentBudget(budget);
 
-  CostPlanner planner(&engine);
-  const PlannerInputs before = planner.GatherInputs(query, MineOptions{});
+  auto gather = [&] {
+    return CostPlanner::GatherInputs(engine, query, MineOptions{},
+                                     engine.delta_snapshot());
+  };
+  const PlannerInputs before = gather();
   ASSERT_TRUE(before.disk_backed);
   bool any_on_disk_before = false;
   for (const TermPlanStats& t : before.terms) {
@@ -209,7 +212,7 @@ TEST(FeedbackPlacementTest, PlannerSurfacesObservedQueriesPrior) {
   for (TermId t : query.terms) (*observed)[t] = 17;
   engine.SetTermPopularity(observed);
 
-  const PlannerInputs after = planner.GatherInputs(query, MineOptions{});
+  const PlannerInputs after = gather();
   for (const TermPlanStats& t : after.terms) {
     EXPECT_EQ(t.observed_queries, 17u);
     EXPECT_FALSE(t.on_disk)

@@ -251,8 +251,9 @@ std::vector<std::vector<ListEntry>> AoSIdOrderedLists(
     const MiningEngine& engine, const Query& query, double fraction) {
   std::vector<std::vector<ListEntry>> lists;
   for (TermId t : query.terms) {
+    const SoABlockList& list = engine.word_lists().list(t);
     lists.push_back(*WordIdOrderedLists::IdOrderPrefix(
-        engine.word_lists().Partial(t, fraction)));
+        testing::Entries(list, PartialLength(list.size(), fraction))));
   }
   return lists;
 }

@@ -28,7 +28,9 @@ double FullListScore(MiningEngine& engine, const Query& q, PhraseId phrase,
   std::vector<double> probs;
   for (TermId t : q.terms) {
     double prob = 0.0;
-    for (const ListEntry& e : engine.word_lists().Partial(t, fraction)) {
+    const SoABlockList& list = engine.word_lists().list(t);
+    for (const ListEntry& e :
+         testing::Entries(list, PartialLength(list.size(), fraction))) {
       if (e.phrase == phrase) {
         prob = e.prob;
         break;
@@ -375,7 +377,7 @@ TEST(MinersTest, AndResultsRequireCooccurrenceWithAllTerms) {
   for (const MinedPhrase& p : r.phrases) {
     for (TermId t : q.terms) {
       bool found = false;
-      for (const ListEntry& e : lists.list(t)) {
+      for (const ListEntry& e : testing::Entries(lists.list(t))) {
         if (e.phrase == p.phrase) {
           found = true;
           break;

@@ -4,6 +4,8 @@
 // updates and rebuilds, and through a restarted PhraseService.
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "service/service.h"
 #include "shard/sharded_engine.h"
+#include "storage/index_file.h"
 #include "test_util.h"
 
 namespace phrasemine {
@@ -224,6 +227,42 @@ TEST(PersistTest, ServiceRestartAnswersIdentically) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The persisted bytes of the word lists are a file format, independent of
+// how the lists are laid out in memory: an engine with every term's list
+// built must persist to the same bytes, pinned here as FNV-1a hashes of
+// the word-list section payload and of the whole file.
+TEST(PersistTest, WordListFileBytesArePinned) {
+  MiningEngine engine = testing::MakeSmallEngine(200);
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < engine.inverted().num_terms(); ++t) {
+    terms.push_back(t);
+  }
+  engine.EnsureWordLists(terms);
+  ASSERT_EQ(engine.word_lists().num_terms(), terms.size());
+
+  const std::string path = TempPath("pinned_lists.pmidx");
+  const std::string again = TempPath("pinned_lists_again.pmidx");
+  ASSERT_TRUE(engine.SaveToFile(path).ok());
+  ASSERT_TRUE(engine.SaveToFile(again).ok());
+  auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::vector<uint8_t> bytes = read_all(path);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, read_all(again));  // the file is deterministic
+
+  auto file = IndexFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  const std::span<const uint8_t> lists =
+      file.value().section(IndexSection::kWordScoreLists);
+  EXPECT_EQ(lists.size(), 3477100u);
+  EXPECT_EQ(Fnv1a64(lists.data(), lists.size()), 17229278546794751376ull);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 15567482759712763904ull);
+  std::remove(path.c_str());
+  std::remove(again.c_str());
 }
 
 }  // namespace

@@ -296,10 +296,12 @@ TEST(PlannerTest, PlanAcrossShardsChargesDiskMakespan) {
 
 TEST(PlannerTest, PlanOverRealEngineFillsStatistics) {
   MiningEngine engine = testing::MakeTinyEngine();
-  CostPlanner planner(&engine);
   auto q = engine.ParseQuery("query optimization", QueryOperator::kAnd);
   ASSERT_TRUE(q.ok());
-  PlanDecision d = planner.Plan(q.value(), MineOptions{});
+  PlanDecision d = CostPlanner::PlanFromInputs(
+      CostPlanner::GatherInputs(engine, q.value(), MineOptions{},
+                                engine.delta_snapshot()),
+      PlannerOptions{});
   EXPECT_FALSE(d.reason.empty());
   ASSERT_EQ(d.terms.size(), 2u);
   for (const TermPlanStats& t : d.terms) {

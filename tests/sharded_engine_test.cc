@@ -290,10 +290,11 @@ TEST(ShardedEngineTest, MergeOutputIsPinned) {
   EXPECT_EQ(digest, 0xdc31309cbcb8755eull) << std::hex << digest;
 }
 
-/// At an SMJ fraction below 1 the shards' id-ordered list caches are
-/// truncated, so the list scatter and the list fill take their scans over
-/// the full score-ordered lists instead. Under a pending overlay those
-/// scans must reproduce the id-ordered paths bitwise.
+/// At an SMJ fraction below 1 the shards' cached id-ordered lists are
+/// truncated, so the list scatter and the list fill read full-fraction
+/// id-ordered lists packed on demand from the score-ordered lists
+/// (MiningEngine::FullIdOrderedListLocked). Under a pending overlay those
+/// mines must reproduce the cached full-fraction ones bitwise.
 TEST(ShardedEngineTest, ScoreOrderedFallbacksMatchUnderOverlay) {
   MiningEngine mono =
       MiningEngine::Build(MakeSmallSyntheticCorpus(500),

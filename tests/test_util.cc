@@ -1,5 +1,7 @@
 #include "test_util.h"
 
+#include <algorithm>
+
 #include "text/synthetic.h"
 
 namespace phrasemine::testing {
@@ -45,6 +47,14 @@ MiningEngine MakeSmallEngine(std::size_t num_docs) {
   MiningEngine::Options options;
   options.extractor.min_df = 5;
   return MiningEngine::Build(MakeSmallSyntheticCorpus(num_docs), options);
+}
+
+std::vector<ListEntry> Entries(const SoABlockList& list, std::size_t n) {
+  std::vector<ListEntry> entries(std::min(n, list.size()));
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i] = ListEntry{list.ids()[i], list.probs()[i]};
+  }
+  return entries;
 }
 
 std::vector<PhraseId> Ids(const MineResult& result) {

@@ -1,6 +1,7 @@
 #ifndef PHRASEMINE_TESTS_TEST_UTIL_H_
 #define PHRASEMINE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,11 @@ MiningEngine MakeTinyEngine();
 
 /// Engine over MakeSmallSyntheticCorpus with default extraction options.
 MiningEngine MakeSmallEngine(std::size_t num_docs = 600);
+
+/// The first `n` entries of a packed list (all of them by default) zipped
+/// back into an AoS run, for tests that compare or iterate entries.
+std::vector<ListEntry> Entries(const SoABlockList& list,
+                               std::size_t n = SIZE_MAX);
 
 /// Result phrase ids in rank order.
 std::vector<PhraseId> Ids(const MineResult& result);

@@ -1,11 +1,14 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <span>
 #include <vector>
 
 #include "core/delta_index.h"
+#include "core/disk_lists.h"
 #include "gtest/gtest.h"
+#include "index/phrase_list_file.h"
 #include "index/word_lists.h"
 #include "phrase/phrase_extractor.h"
 #include "test_util.h"
@@ -13,6 +16,7 @@
 namespace phrasemine {
 namespace {
 
+using testing::Entries;
 using testing::MakeTinyCorpus;
 
 struct Fixture {
@@ -35,7 +39,7 @@ TEST(WordScoreListsTest, SortedByScoreThenId) {
   WordScoreLists lists =
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
   for (TermId t : lists.Terms()) {
-    auto list = lists.list(t);
+    const std::vector<ListEntry> list = Entries(lists.list(t));
     for (std::size_t i = 1; i < list.size(); ++i) {
       if (list[i - 1].prob == list[i].prob) {
         EXPECT_LT(list[i - 1].phrase, list[i].phrase);
@@ -56,7 +60,7 @@ TEST(WordScoreListsTest, ProbMatchesEq13) {
       f.term("query"), f.term("optimization")});
   ASSERT_NE(qo, kInvalidPhraseId);
   bool found = false;
-  for (const ListEntry& e : lists.list(db)) {
+  for (const ListEntry& e : Entries(lists.list(db))) {
     if (e.phrase == qo) {
       EXPECT_DOUBLE_EQ(e.prob, 1.0);
       found = true;
@@ -68,7 +72,7 @@ TEST(WordScoreListsTest, ProbMatchesEq13) {
   const PhraseId theof =
       f.dict.Find(std::vector<TermId>{f.term("the"), f.term("of")});
   ASSERT_NE(theof, kInvalidPhraseId);
-  for (const ListEntry& e : lists.list(db)) {
+  for (const ListEntry& e : Entries(lists.list(db))) {
     if (e.phrase == theof) {
       EXPECT_DOUBLE_EQ(e.prob, 0.5);
     }
@@ -84,7 +88,7 @@ TEST(WordScoreListsTest, ZeroScoresOmitted) {
       f.inverted, f.forward, f.dict, std::vector<TermId>{kernel});
   const PhraseId qo = f.dict.Find(std::vector<TermId>{
       f.term("query"), f.term("optimization")});
-  for (const ListEntry& e : lists.list(kernel)) {
+  for (const ListEntry& e : Entries(lists.list(kernel))) {
     EXPECT_NE(e.phrase, qo);
     EXPECT_GT(e.prob, 0.0);
   }
@@ -95,7 +99,7 @@ TEST(WordScoreListsTest, ProbsAreValidProbabilities) {
   WordScoreLists lists =
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
   for (TermId t : lists.Terms()) {
-    for (const ListEntry& e : lists.list(t)) {
+    for (const ListEntry& e : Entries(lists.list(t))) {
       EXPECT_GT(e.prob, 0.0);
       EXPECT_LE(e.prob, 1.0);
     }
@@ -107,15 +111,13 @@ TEST(WordScoreListsTest, PartialPrefix) {
   WordScoreLists lists =
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
   const TermId the = f.term("the");
-  const auto full = lists.list(the);
-  ASSERT_GT(full.size(), 4u);
-  const auto half = lists.Partial(the, 0.5);
-  EXPECT_EQ(half.size(),
-            static_cast<std::size_t>(std::ceil(0.5 * full.size())));
-  EXPECT_EQ(half.data(), full.data());  // Same underlying prefix.
-  EXPECT_EQ(lists.Partial(the, 0.0).size(), 0u);
-  EXPECT_EQ(lists.Partial(the, 1.0).size(), full.size());
-  EXPECT_EQ(lists.Partial(the, 5.0).size(), full.size());  // clamped
+  const std::size_t full = lists.list(the).size();
+  ASSERT_GT(full, 4u);
+  EXPECT_EQ(PartialLength(full, 0.5),
+            static_cast<std::size_t>(std::ceil(0.5 * full)));
+  EXPECT_EQ(PartialLength(full, 0.0), 0u);
+  EXPECT_EQ(PartialLength(full, 1.0), full);
+  EXPECT_EQ(PartialLength(full, 5.0), full);  // clamped
 }
 
 TEST(WordScoreListsTest, MissingTermEmpty) {
@@ -126,28 +128,38 @@ TEST(WordScoreListsTest, MissingTermEmpty) {
   EXPECT_TRUE(lists.list(f.term("kernel")).empty());
 }
 
-TEST(WordScoreListsTest, SizeBytesAccounting) {
+TEST(WordScoreListsTest, InMemoryBytesAccounting) {
+  // InMemoryBytes(f) is the sum over lists of ceil(f * n) entries at the
+  // packed 12 bytes each.
   Fixture f;
   WordScoreLists lists =
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
-  EXPECT_EQ(lists.SizeBytes(1.0), lists.TotalEntries() * kListEntryBytes);
-  EXPECT_LE(lists.SizeBytes(0.5), lists.SizeBytes(1.0));
-  EXPECT_GT(lists.SizeBytes(0.5), 0u);
+  EXPECT_EQ(lists.InMemoryBytes(1.0), lists.TotalEntries() * kListEntryBytes);
+  EXPECT_GT(lists.InMemoryBytes(0.5), 0u);
+  for (double fraction : {0.0, 0.1, 0.3, 0.5, 0.99, 1.0}) {
+    std::size_t expect = 0;
+    for (TermId t : lists.Terms()) {
+      expect += static_cast<std::size_t>(std::ceil(
+                    fraction * static_cast<double>(lists.list(t).size()))) *
+                12;
+    }
+    EXPECT_EQ(lists.InMemoryBytes(fraction), expect) << fraction;
+  }
 }
 
-TEST(WordScoreListsTest, PackedVsInMemoryEntrySizes) {
-  // The packed figure is the paper's 12 bytes (4-byte id + 8-byte prob);
-  // the resident AoS figure is sizeof(ListEntry), padded to 16. The two
-  // must never be conflated again (table5_index_sizes reports both).
+TEST(WordScoreListsTest, ResidentListCostsThePackedEntrySize) {
+  // The packed figure is the paper's 12 bytes (4-byte id + 8-byte prob),
+  // and it is what a resident list costs: the packed SoA arrays hold
+  // exactly that per entry, with no padding and no skip headers.
   EXPECT_EQ(kListEntryBytes, 12u);
-  EXPECT_EQ(kListEntryInMemoryBytes, sizeof(ListEntry));
-  EXPECT_EQ(kListEntryInMemoryBytes, 16u);
   Fixture f;
   WordScoreLists lists =
       WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
-  EXPECT_EQ(lists.InMemoryBytes(1.0),
-            lists.TotalEntries() * kListEntryInMemoryBytes);
-  EXPECT_GT(lists.InMemoryBytes(1.0), lists.SizeBytes(1.0));
+  for (TermId t : lists.Terms()) {
+    EXPECT_EQ(lists.ListBytes(t), lists.list(t).size() * kListEntryBytes);
+    EXPECT_EQ(lists.list(t).MemoryBytes(), lists.ListBytes(t)) << t;
+  }
+  EXPECT_EQ(lists.ListBytes(f.term("nosuchterm")), 0u);
 }
 
 TEST(WordScoreListsTest, MergeAddsNewTermsOnly) {
@@ -163,6 +175,18 @@ TEST(WordScoreListsTest, MergeAddsNewTermsOnly) {
   EXPECT_EQ(a.list(f.term("db")).size(), db_len);
 }
 
+/// Ids equal and probs bitwise equal, entry for entry.
+void ExpectBitwiseEqual(const std::vector<ListEntry>& a,
+                        const std::vector<ListEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].phrase, b[i].phrase) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i].prob),
+              std::bit_cast<uint64_t>(b[i].prob))
+        << i;
+  }
+}
+
 TEST(WordScoreListsTest, SerializationRoundTrip) {
   Fixture f;
   WordScoreLists lists =
@@ -173,15 +197,45 @@ TEST(WordScoreListsTest, SerializationRoundTrip) {
   auto loaded = WordScoreLists::Deserialize(&r);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_terms(), lists.num_terms());
+  EXPECT_EQ(loaded.value().InMemoryBytes(), lists.InMemoryBytes());
   for (TermId t : lists.Terms()) {
-    auto a = lists.list(t);
-    auto b = loaded.value().list(t);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].phrase, b[i].phrase);
-      EXPECT_DOUBLE_EQ(a[i].prob, b[i].prob);
-    }
+    ASSERT_TRUE(loaded.value().Has(t));
+    ExpectBitwiseEqual(Entries(loaded.value().list(t)),
+                       Entries(lists.list(t)));
+    EXPECT_EQ(loaded.value().list(t).MemoryBytes(), lists.ListBytes(t));
   }
+}
+
+TEST(WordScoreListsTest, PackedListEqualsBuildOneRun) {
+  // Every stored list is BuildOne's AoS run, packed: same ids, same probs
+  // bit for bit, same order.
+  Fixture f;
+  WordScoreLists lists =
+      WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
+  ASSERT_GT(lists.num_terms(), 0u);
+  for (TermId t : lists.Terms()) {
+    const SharedWordList run =
+        WordScoreLists::BuildOne(f.inverted, f.forward, f.dict, t);
+    ExpectBitwiseEqual(Entries(lists.list(t)), *run);
+  }
+}
+
+TEST(WordScoreListsTest, FullyPinnedTierCostsInMemoryBytes) {
+  // The spill budget and the stats share one unit: a budget of exactly
+  // InMemoryBytes() pins every list, and the tier then reports that
+  // figure as its resident bytes.
+  Fixture f;
+  WordScoreLists lists =
+      WordScoreLists::BuildAll(f.inverted, f.forward, f.dict);
+  const PhraseListFile phrase_file =
+      PhraseListFile::Build(f.dict, f.corpus.vocab());
+  DiskTierOptions options;
+  options.resident_budget_bytes = lists.InMemoryBytes();
+  DiskResidentLists tier(lists, phrase_file, f.inverted, options);
+  EXPECT_EQ(tier.num_resident(), lists.num_terms());
+  EXPECT_EQ(tier.num_spilled(), 0u);
+  EXPECT_EQ(tier.resident_bytes(), lists.InMemoryBytes());
+  EXPECT_EQ(tier.spilled_bytes(), 0u);
 }
 
 TEST(WordIdOrderedListsTest, OrderedById) {
@@ -206,7 +260,8 @@ TEST(WordIdOrderedListsTest, FractionTruncatesTopScores) {
   WordIdOrderedLists id_lists = WordIdOrderedLists::Build(score_lists, 0.3);
   EXPECT_DOUBLE_EQ(id_lists.fraction(), 0.3);
   for (TermId t : score_lists.Terms()) {
-    const auto prefix = score_lists.Partial(t, 0.3);
+    const SoABlockList& full = score_lists.list(t);
+    const auto prefix = Entries(full, PartialLength(full.size(), 0.3));
     const SoABlockList* list = id_lists.soa(t);
     ASSERT_NE(list, nullptr);
     ASSERT_EQ(list->size(), prefix.size());
