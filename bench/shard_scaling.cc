@@ -13,6 +13,11 @@
 // to be meaningful; on smaller machines the run is informational
 // (reported in the JSON, not enforced).
 //
+// The merge overhead itself is reported as the 1-shard fleet / monolith
+// ratio of process CPU per query, for Exact and SMJ: a one-shard fleet
+// mines the same documents as the monolith, so any ratio above 1 is what
+// the scatter-gather machinery costs.
+//
 // Writes BENCH_shard.json for the CI perf trajectory and the
 // bench-regression gate.
 //
@@ -21,6 +26,7 @@
 //        PM_SHARD_PASSES (workload repetitions, default 3).
 
 #include <cstdio>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -41,17 +47,18 @@ Corpus MakeCorpus(std::size_t num_docs) {
   return generator.Generate();
 }
 
+/// Wall throughput and process CPU per query of one timed workload.
+struct Timing {
+  double qps = 0.0;
+  double cpu_us = 0.0;
+};
+
 struct Row {
   std::size_t shards = 0;
-  double exact_qps = 0.0;
+  Timing exact;
   double exact_speedup = 0.0;
-  double smj_qps = 0.0;
+  Timing smj;
   double smj_speedup = 0.0;
-  // Threshold-exchange accounting over the SMJ AND+OR workload: fill-round
-  // support slots with the exchange off vs on, and candidates pruned.
-  std::size_t fill_slots_off = 0;
-  std::size_t fill_slots_on = 0;
-  uint64_t pruned = 0;
 };
 
 int Main() {
@@ -89,21 +96,35 @@ int Main() {
   mono.EnsureWordListsFor(queries);  // SMJ preprocessing, excluded from timing
   const std::size_t total = queries.size() * passes;
 
+  // Runs the workload `passes` times through `mine`, timing wall clock
+  // and process CPU (std::clock; the pool legs' CPU included).
+  auto time_workload = [&](auto&& mine) {
+    StopWatch watch;
+    const std::clock_t cpu_start = std::clock();
+    for (std::size_t p = 0; p < passes; ++p) {
+      for (const Query& q : queries) mine(q);
+    }
+    const double cpu_s = static_cast<double>(std::clock() - cpu_start) /
+                         static_cast<double>(CLOCKS_PER_SEC);
+    Timing t;
+    t.qps = 1000.0 * static_cast<double>(total) / watch.ElapsedMillis();
+    t.cpu_us = 1e6 * cpu_s / static_cast<double>(total);
+    return t;
+  };
+
   // --- Serial monolithic baselines -----------------------------------------
   auto time_mono = [&](Algorithm algorithm) {
-    StopWatch watch;
-    for (std::size_t p = 0; p < passes; ++p) {
-      for (const Query& q : queries) {
-        (void)mono.Mine(q, algorithm, MineOptions{.k = 5});
-      }
-    }
-    return 1000.0 * static_cast<double>(total) / watch.ElapsedMillis();
+    return time_workload([&](const Query& q) {
+      (void)mono.Mine(q, algorithm, MineOptions{.k = 5});
+    });
   };
   for (const Query& q : queries) mono.EnsureIdOrderedLists(q.terms);  // ditto
-  const double mono_exact_qps = time_mono(Algorithm::kExact);
-  const double mono_smj_qps = time_mono(Algorithm::kSmj);
-  std::printf("\nmonolithic serial: Exact %8.1f q/s, SMJ %8.1f q/s\n\n",
-              mono_exact_qps, mono_smj_qps);
+  const Timing mono_exact = time_mono(Algorithm::kExact);
+  const Timing mono_smj = time_mono(Algorithm::kSmj);
+  std::printf("\nmonolithic serial: Exact %8.1f q/s (%.1f us CPU), "
+              "SMJ %8.1f q/s (%.1f us CPU)\n\n",
+              mono_exact.qps, mono_exact.cpu_us, mono_smj.qps,
+              mono_smj.cpu_us);
 
   // --- Sharded sweep ---------------------------------------------------------
   std::printf("%8s %12s %9s %12s %9s %10s\n", "shards", "Exact q/s",
@@ -135,61 +156,25 @@ int Main() {
       verified += equal;
     }
 
+    auto time_sharded = [&](Algorithm algorithm) {
+      return time_workload([&](const Query& q) {
+        (void)sharded.Mine(q, algorithm, MineOptions{.k = 5});
+      });
+    };
     Row row;
     row.shards = shards;
-    {
-      StopWatch watch;
-      for (std::size_t p = 0; p < passes; ++p) {
-        for (const Query& q : queries) {
-          (void)sharded.Mine(q, Algorithm::kExact, MineOptions{.k = 5});
-        }
-      }
-      row.exact_qps = 1000.0 * static_cast<double>(total) /
-                      watch.ElapsedMillis();
-    }
-    {
-      StopWatch watch;
-      for (std::size_t p = 0; p < passes; ++p) {
-        for (const Query& q : queries) {
-          (void)sharded.Mine(q, Algorithm::kSmj, MineOptions{.k = 5});
-        }
-      }
-      row.smj_qps = 1000.0 * static_cast<double>(total) /
-                    watch.ElapsedMillis();
-    }
-    // Threshold-exchange savings: the same SMJ workload (AND and OR
-    // operators) with the exchange off, then on. Results are provably
-    // identical either way; what changes is how many (shard, candidate)
-    // support slots the fill round still has to compute.
-    {
-      std::vector<Query> both = queries;
-      for (Query q : WithOperator(queries, QueryOperator::kAnd)) {
-        both.push_back(std::move(q));
-      }
-      sharded.SetThresholdExchange(false);
-      for (const Query& q : both) {
-        const ShardedMineResult r5 =
-            sharded.Mine(q, Algorithm::kSmj, MineOptions{.k = 5});
-        row.fill_slots_off += r5.fill_slots;
-      }
-      sharded.SetThresholdExchange(true);
-      for (const Query& q : both) {
-        const ShardedMineResult r5 =
-            sharded.Mine(q, Algorithm::kSmj, MineOptions{.k = 5});
-        row.fill_slots_on += r5.fill_slots;
-        row.pruned += r5.result.candidates_pruned;
-      }
-    }
+    row.exact = time_sharded(Algorithm::kExact);
+    row.smj = time_sharded(Algorithm::kSmj);
     // Speedups are relative to the 1-shard row: partition parallelism,
     // isolated from the constant merge overhead both setups pay.
     row.exact_speedup =
-        sweep.empty() ? 1.0 : row.exact_qps / sweep.front().exact_qps;
+        sweep.empty() ? 1.0 : row.exact.qps / sweep.front().exact.qps;
     row.smj_speedup =
-        sweep.empty() ? 1.0 : row.smj_qps / sweep.front().smj_qps;
+        sweep.empty() ? 1.0 : row.smj.qps / sweep.front().smj.qps;
     if (shards == 4) speedup_at_4 = row.exact_speedup;
     sweep.push_back(row);
     std::printf("%8zu %12.1f %8.2fx %12.1f %8.2fx %7zu/%zu\n", shards,
-                row.exact_qps, row.exact_speedup, row.smj_qps,
+                row.exact.qps, row.exact_speedup, row.smj.qps,
                 row.smj_speedup, verified, queries.size());
     if (verified != queries.size()) {
       std::printf("DIFFERENTIAL FAILURE: sharded SMJ diverged from "
@@ -198,21 +183,14 @@ int Main() {
     }
   }
 
-  // --- Threshold-exchange savings -------------------------------------------
-  std::printf("\nthreshold exchange (SMJ AND+OR workload):\n"
-              "%8s %15s %15s %9s %9s\n", "shards", "fill slots off",
-              "fill slots on", "saved", "pruned");
-  for (const Row& row : sweep) {
-    const double saved =
-        row.fill_slots_off == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(row.fill_slots_off - row.fill_slots_on) /
-                  static_cast<double>(row.fill_slots_off);
-    std::printf("%8zu %15zu %15zu %8.1f%% %9llu\n", row.shards,
-                row.fill_slots_off, row.fill_slots_on, saved,
-                static_cast<unsigned long long>(row.pruned));
-  }
+  // --- Merge overhead: 1-shard fleet vs monolith ----------------------------
+  const Row& one = sweep.front();
+  const double exact_ratio = one.exact.cpu_us / mono_exact.cpu_us;
+  const double smj_ratio = one.smj.cpu_us / mono_smj.cpu_us;
+  std::printf("\n1-shard fleet / monolith CPU per query: Exact %.2fx "
+              "(%.1f vs %.1f us), SMJ %.2fx (%.1f vs %.1f us)\n",
+              exact_ratio, one.exact.cpu_us, mono_exact.cpu_us, smj_ratio,
+              one.smj.cpu_us, mono_smj.cpu_us);
 
   const bool enough_hw = hw_threads >= 4;
   const bool meets_target = speedup_at_4 >= 2.0;
@@ -221,19 +199,23 @@ int Main() {
   if (std::FILE* json = std::fopen("BENCH_shard.json", "w")) {
     std::fprintf(json,
                  "{\n  \"mono_exact_qps\": %.1f,\n  \"mono_smj_qps\": %.1f,\n"
+                 "  \"mono_exact_cpu_us\": %.1f,\n"
+                 "  \"mono_smj_cpu_us\": %.1f,\n"
+                 "  \"one_shard_exact_cpu_ratio\": %.3f,\n"
+                 "  \"one_shard_smj_cpu_ratio\": %.3f,\n"
                  "  \"hw_threads\": %u,\n  \"sweep\": [",
-                 mono_exact_qps, mono_smj_qps, hw_threads);
+                 mono_exact.qps, mono_smj.qps, mono_exact.cpu_us,
+                 mono_smj.cpu_us, exact_ratio, smj_ratio, hw_threads);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const Row& row = sweep[i];
       std::fprintf(json,
                    "%s\n    {\"shards\": %zu, \"exact_qps\": %.1f, "
                    "\"exact_speedup\": %.2f, \"smj_qps\": %.1f, "
-                   "\"smj_speedup\": %.2f, \"fill_slots_off\": %zu, "
-                   "\"fill_slots_on\": %zu, \"pruned\": %llu}",
-                   i == 0 ? "" : ",", row.shards, row.exact_qps,
-                   row.exact_speedup, row.smj_qps, row.smj_speedup,
-                   row.fill_slots_off, row.fill_slots_on,
-                   static_cast<unsigned long long>(row.pruned));
+                   "\"smj_speedup\": %.2f, \"exact_cpu_us\": %.1f, "
+                   "\"smj_cpu_us\": %.1f}",
+                   i == 0 ? "" : ",", row.shards, row.exact.qps,
+                   row.exact_speedup, row.smj.qps, row.smj_speedup,
+                   row.exact.cpu_us, row.smj.cpu_us);
     }
     std::fprintf(json,
                  "\n  ],\n  \"speedup_at_4\": %.2f,\n"

@@ -1,6 +1,6 @@
 // Demonstrates the observability surface end to end: a disk-backed sharded
 // service answers one cold and one warm traced query, prints each explain
-// tree (plan -> cache lookup -> scatter/exchange/fill/gather/materialize,
+// tree (plan -> cache lookup -> scatter/fill/gather/materialize,
 // with per-shard disk reads), dumps the slow-query log, and finishes with
 // the full Prometheus text exposition of the service's metric registry.
 //

@@ -886,7 +886,7 @@ uint64_t MiningEngine::structure_version() const {
 
 EpochDelta MiningEngine::delta_snapshot() const {
   std::scoped_lock lock(sync_->snapshot_mu);
-  return EpochDelta{epoch_, generation_, delta_};
+  return EpochDelta{epoch_, generation_, delta_, structure_version_};
 }
 
 UpdateStats MiningEngine::update_stats() const {

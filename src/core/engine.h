@@ -106,6 +106,9 @@ struct EpochDelta {
   uint64_t epoch = 0;
   uint64_t generation = 0;
   std::shared_ptr<const DeltaIndex> delta;
+  /// Process-unique structure id at `epoch`; see
+  /// MiningEngine::structure_version().
+  uint64_t structure_version = 0;
 };
 
 /// Post-batch notification for standing-query consumers: everything the

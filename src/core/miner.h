@@ -95,9 +95,8 @@ struct MineResult {
   /// (AND-kernel SMJ, whose galloping intersection skips entries -- the
   /// skipped ones are the savings), or forward-list entries touched (GM).
   uint64_t entries_read = 0;
-  /// Candidates the sharded threshold-exchange round dropped before the
-  /// fill round because they were provably below the global k-th bound
-  /// (see ShardedEngine); 0 for single-engine mines.
+  /// Always 0: the sharded threshold exchange that counted its pruned
+  /// candidates here is gone. Kept only while a benchmark still reads it.
   uint64_t candidates_pruned = 0;
   /// Average fraction of the query's lists traversed before stopping
   /// (Figure 11 metric); 1.0 when the algorithm always reads whole inputs.

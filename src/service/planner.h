@@ -43,7 +43,7 @@ struct TermPlanStats {
 /// needed to audit the choice -- per-term stats, the sub-collection
 /// estimate, the modeled cost of every candidate, and a one-line reason.
 struct PlanDecision {
-  Algorithm algorithm = Algorithm::kGm;
+  Algorithm algorithm = Algorithm::kExact;
   QueryOperator op = QueryOperator::kAnd;
   std::size_t k = 0;
   /// Estimated |D'| under the query operator (independence assumption for
@@ -76,12 +76,11 @@ struct PlannerOptions {
   /// stopping condition.
   double nra_k_penalty = 0.02;
   /// Per-entry cost multipliers: NRA maintains a candidate hash and bounds
-  /// per entry, SMJ only merges, GM scans forward lists linearly.
+  /// per entry, SMJ only merges, Exact scans the sub-collection's forward
+  /// lists linearly.
   double nra_entry_cost = 2.0;
   double smj_entry_cost = 1.0;
-  double gm_entry_cost = 1.0;
-  /// Exact uses the uncompressed forward index and recomputes supports.
-  double exact_entry_cost = 1.2;
+  double exact_entry_cost = 1.0;
   /// Fixed per-query overhead (candidate-set setup for NRA, k-way merge
   /// setup for SMJ) that steers short-list queries toward SMJ, matching
   /// the paper's guidance (SMJ for short lists, NRA for long ones).
@@ -133,22 +132,32 @@ struct PlannerInputs {
 /// Selects the mining algorithm per query from per-term index statistics,
 /// so callers of PhraseService never have to know the paper's
 /// NRA-vs-SMJ-vs-forward-scan trade-offs. Decision procedure:
-///   1. An AND query with a zero-df term has an empty sub-collection:
-///      GM terminates immediately, pick it (SMJ when updates are pending,
-///      so the emptiness reflects the *live* corpus).
-///   2. allow_approximate == false: Exact for tiny sub-collections, GM
-///      otherwise (both are exact methods; an explicit base-corpus
+///   1. An empty query, or an AND query with a zero-df term (an empty
+///      sub-collection): Exact, whose scan has nothing to read (SMJ when
+///      updates are pending, so the emptiness reflects the *live* corpus).
+///   2. allow_approximate == false: Exact (an explicit base-corpus
 ///      promise, even while updates are pending).
 ///   3. Sub-collection estimate <= exact_subcollection_threshold and no
 ///      updates pending: Exact.
-///   4. Otherwise: argmin of the modeled cost over {GM, NRA, SMJ}; with
-///      updates pending GM is excluded (it would mine the base corpus).
+///   4. Otherwise: argmin of the modeled cost over {Exact, NRA, SMJ};
+///      with updates pending Exact is excluded (it would mine the base
+///      corpus). Exact is costed as a forward scan of the estimated
+///      sub-collection (exact_entry_cost per phrase occurrence).
+/// The planner never picks GM or Simitsis: Exact computes the same exact
+/// answer with less work. Both exist for the paper's comparison studies
+/// and must be forced explicitly.
+///
+/// Fleets (PlanAcrossShards, more than one shard): an exhaustive fleet
+/// merge ships every shard's supports for the whole union, which costs
+/// SMJ far more than Exact, so without a pending overlay the argmin runs
+/// over {Exact, NRA(-disk)} only; with one it runs over {NRA(-disk), SMJ}
+/// as on a single engine.
 ///
 /// Disk routing rule: on a disk-backed engine (PlannerInputs::disk_backed,
 /// set from MiningEngineOptions::disk_backed) the word lists live on the
 /// simulated disk tier, so the in-memory kNra candidate is replaced by
 /// kNraDisk -- the honest plan charges the spilled lists' block I/O --
-/// and the argmin runs over {GM, NRA-disk, SMJ}. NRA-disk pays
+/// and the argmin runs over {Exact, NRA-disk, SMJ}. NRA-disk pays
 /// traversal-scaled block reads at the random rate when more than one
 /// list is spilled (its round-robin head seeks between on-device list
 /// files; with a single spilled file the reads stream sequentially);
@@ -157,8 +166,7 @@ struct PlannerInputs {
 /// are rebuilt in RAM in this reproduction, so the charge is model-only
 /// and documented in docs/disk_tier.md). Resident (pinned) lists charge
 /// nothing, which is how the spill policy's placement steers the
-/// decision. kSimitsis is still never chosen -- it exists for the
-/// paper's comparison studies and must be forced explicitly.
+/// decision.
 ///
 /// Under live updates the per-term and corpus document frequencies are
 /// corrected by the engine's delta overlay before costing, so plans do not
@@ -195,9 +203,11 @@ class CostPlanner {
   /// per-term dfs and doc counts summed over the disjoint partition --
   /// while the cost of each candidate algorithm is the *maximum* of its
   /// per-shard costs: shards mine in parallel, so the modeled latency of
-  /// a scatter is its slowest shard (makespan), not the sum. A single
-  /// shard plans exactly like PlanFromInputs of its inputs (no aggregation,
-  /// no "sharded(1)" prefix), so a one-engine service keeps its plans.
+  /// a scatter is its slowest shard (makespan), not the sum. SMJ is a
+  /// candidate only while an overlay is pending (see the class comment).
+  /// A single shard plans exactly like PlanFromInputs of its inputs (no
+  /// aggregation, no "sharded(1)" prefix), so a one-engine service keeps
+  /// its plans.
   static PlanDecision PlanAcrossShards(std::span<const PlannerInputs> shards,
                                        const PlannerOptions& options);
 };

@@ -97,11 +97,11 @@ int GuaranteeRank(UpdateGuarantee g) {
 
 /// One candidate of one shard's scatter. The phrase id is global -- every
 /// shard clones the same frozen phrase set -- which is what lets the
-/// gather join candidates with integer keys.
+/// gather join candidates with integer keys. Document frequencies never
+/// travel with it: the gather reads them from the fleet-wide df table.
 struct ShardCandidate {
   PhraseId phrase = kInvalidPhraseId;
-  uint32_t df = 0;
-  uint32_t freq_subset = 0;  // count modes
+  uint32_t freq_subset = 0;  // count-exhaustive scatter
 };
 
 /// Everything one shard contributes in the scatter round.
@@ -129,12 +129,11 @@ struct ShardScatter {
   Status status;
 };
 
-/// Supports one shard computed for the union candidates in the fill
-/// round, flat like the scatter's: entry i (row i of `codf`) belongs to
-/// union candidate i. Arrays a mode does not fill stay empty, and so does
-/// every array of a leg that skipped the round.
+/// Supports one shard computed for the union candidates in the top-k'
+/// fill round, flat like the scatter's: entry i (row i of `codf`) belongs
+/// to union candidate i. The array a mode does not fill stays empty, and
+/// so does every array of a leg that skipped the round.
 struct ShardFill {
-  std::vector<uint32_t> df;
   std::vector<uint32_t> freq_subset;  // count top-k'
   std::vector<uint32_t> codf;         // list top-k', r per row
   std::size_t subcollection = 0;      // count top-k': |D'_s|
@@ -144,7 +143,6 @@ struct ShardFill {
 /// co-occurrence counts are row `slot` of the union's flat codf array).
 struct GlobalCandidate {
   PhraseId phrase = kInvalidPhraseId;
-  uint64_t df = 0;
   uint64_t freq_subset = 0;
 };
 
@@ -209,8 +207,7 @@ bool CountScatter(MiningEngine& engine, const Query& query,
     }
     out->candidates.reserve(touched.size());
     for (PhraseId p : touched) {
-      out->candidates.push_back(
-          ShardCandidate{p, engine.dict().df(p), counts[p]});
+      out->candidates.push_back(ShardCandidate{p, counts[p]});
       counts[p] = 0;
     }
     return true;
@@ -260,7 +257,7 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       uint32_t& row = slot[phrase];
       if (row == kNoSlot) {
         row = static_cast<uint32_t>(out->candidates.size());
-        out->candidates.push_back(ShardCandidate{phrase, df_adj, 0});
+        out->candidates.push_back(ShardCandidate{phrase});
         out->codf.resize(out->codf.size() + r, 0);
       }
       out->codf[row * r + term_index] = codf;
@@ -337,36 +334,28 @@ bool TopKScatter(MiningEngine& engine, const Query& query,
       // back ids from the previous set; an out-of-range one must not
       // crash (the fill round's generation check rejects the attempt).
       if (mp.phrase >= engine.dict().size()) continue;
-      out->candidates.push_back(ShardCandidate{mp.phrase, 0, 0});
+      out->candidates.push_back(ShardCandidate{mp.phrase});
     }
   });
   return true;
 }
 
-/// Count-mode fill: document frequency for every needed candidate, plus
-/// (when `need_freq`) its sub-collection frequency via one forward scan --
-/// the supports the gather sums into the global Eq. 1 inputs. The scan
-/// polls `cancel` every kCancelDocStride documents and stops once it
-/// fired; the caller's post-fill check then discards the partial counts.
+/// Count top-k' fill: every union candidate's sub-collection frequency
+/// via one forward scan -- the support the gather sums into the global
+/// Eq. 1 numerator. The scan polls `cancel` every kCancelDocStride
+/// documents and stops once it fired; the caller's post-fill check then
+/// discards the partial counts.
 bool CountFill(MiningEngine& engine, const Query& query,
                std::span<const GlobalCandidate> cands,
-               std::span<const uint8_t> need, bool need_freq,
                const CancelToken* cancel, const EpochDelta& snap,
                ShardFill* out) {
-  out->df.assign(cands.size(), 0);
-  if (need_freq) out->freq_subset.assign(cands.size(), 0);
+  out->freq_subset.assign(cands.size(), 0);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
     const std::size_t set_size = engine.dict().size();
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (need[i] && cands[i].phrase < set_size) {
-        out->df[i] = engine.dict().df(cands[i].phrase);
-      }
-    }
-    if (!need_freq) return true;
     std::vector<uint32_t>& slot = SlotTable(set_size);
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (need[i] && cands[i].phrase < set_size) {
+      if (cands[i].phrase < set_size) {
         slot[cands[i].phrase] = static_cast<uint32_t>(i);
       }
     }
@@ -391,48 +380,41 @@ bool CountFill(MiningEngine& engine, const Query& query,
   });
 }
 
-/// List-mode fill: delta-corrected df and per-term co-occurrence counts
-/// for every needed candidate, via one pass over each term's word list.
+/// List top-k' fill: every union candidate's delta-corrected per-term
+/// co-occurrence counts, via one pass over each term's word list.
 bool ListFill(MiningEngine& engine, const Query& query,
-              std::span<const GlobalCandidate> cands,
-              std::span<const uint8_t> need, bool need_codf,
-              const EpochDelta& snap, ShardFill* out) {
+              std::span<const GlobalCandidate> cands, const EpochDelta& snap,
+              ShardFill* out) {
   const std::size_t r = query.terms.size();
-  if (need_codf) engine.EnsureIdOrderedLists(query.terms);
+  engine.EnsureIdOrderedLists(query.terms);
   const DeltaIndex* delta = PendingDelta(snap);
-  out->df.assign(cands.size(), 0);
-  if (need_codf) out->codf.assign(cands.size() * r, 0);
+  out->codf.assign(cands.size() * r, 0);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    if (need_codf) {
-      for (TermId t : query.terms) {
-        if (!engine.word_lists().Has(t)) return false;
-      }
+    for (TermId t : query.terms) {
+      if (!engine.word_lists().Has(t)) return false;
     }
     const std::size_t set_size = engine.dict().size();
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (!need[i]) continue;
-      const PhraseId p = cands[i].phrase;
-      if (p >= set_size) continue;
-      out->df[i] = AdjustedShardDf(engine.dict().df(p), p, delta);
-    }
-    if (!need_codf) return true;
 
     // One galloping pass per term over its full id-ordered SoA list
-    // gathers every needed candidate's stored probability (0.0 when
-    // absent); AdjustedShardCodf on a 0.0 base recovers the delta-only
-    // count of a candidate absent from the base list.
+    // gathers every candidate's stored probability (0.0 when absent);
+    // AdjustedShardCodf on a 0.0 base recovers the delta-only count of a
+    // candidate absent from the base list.
     std::vector<std::pair<PhraseId, std::size_t>> probes;
     probes.reserve(cands.size());
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (!need[i]) continue;
       if (cands[i].phrase >= set_size) continue;
       probes.emplace_back(cands[i].phrase, i);
     }
     std::sort(probes.begin(), probes.end());
     std::vector<PhraseId> probe_ids(probes.size());
+    std::vector<uint32_t> base_df(probes.size());
+    std::vector<uint32_t> df_adj(probes.size());
     for (std::size_t m = 0; m < probes.size(); ++m) {
-      probe_ids[m] = probes[m].first;
+      const PhraseId p = probes[m].first;
+      probe_ids[m] = p;
+      base_df[m] = engine.dict().df(p);
+      df_adj[m] = AdjustedShardDf(base_df[m], p, delta);
     }
     std::vector<double> gathered(probes.size());
     for (std::size_t j = 0; j < r; ++j) {
@@ -441,8 +423,8 @@ bool ListFill(MiningEngine& engine, const Query& query,
                             gathered.data());
       for (std::size_t m = 0; m < probes.size(); ++m) {
         const auto [p, i] = probes[m];
-        out->codf[i * r + j] = AdjustedShardCodf(
-            gathered[m], engine.dict().df(p), t, p, delta, out->df[i]);
+        out->codf[i * r + j] = AdjustedShardCodf(gathered[m], base_df[m], t,
+                                                 p, delta, df_adj[m]);
       }
     }
     return true;
@@ -757,6 +739,66 @@ std::vector<PlannerInputs> ShardedEngine::GatherPlannerInputs(
   return out;
 }
 
+std::shared_ptr<const ShardedEngine::DfTable> ShardedEngine::DfTableFor(
+    std::span<const EpochDelta> snaps) const {
+  std::shared_ptr<const DfTable> table;
+  {
+    std::scoped_lock lock(df_table_->mu);
+    table = df_table_->table;
+  }
+  if (table != nullptr &&
+      std::equal(table->versions.begin(), table->versions.end(),
+                 snaps.begin(), snaps.end(),
+                 [](uint64_t version, const EpochDelta& snap) {
+                   return version == snap.structure_version;
+                 })) {
+    return table;
+  }
+  // Only a rebuild, a reload or a dictionary refresh moves a version, so
+  // this O(shards x |set|) sum runs once per structure change. Each
+  // shard's dfs are read under its shared structure lock against the
+  // snapshot's version: the table never sums two versions of one shard.
+  auto fresh = std::make_shared<DfTable>();
+  fresh->versions.resize(snaps.size());
+  fresh->df.assign(global_set_->size(), 0);
+  for (std::size_t s = 0; s < snaps.size(); ++s) {
+    const MiningEngine& engine = *shards_[s];
+    const bool current = engine.WithSharedStructures([&] {
+      if (engine.structure_version() != snaps[s].structure_version) {
+        return false;
+      }
+      const PhraseDictionary& dict = engine.dict();
+      const std::size_t size = std::min(dict.size(), fresh->df.size());
+      for (PhraseId p = 0; p < size; ++p) fresh->df[p] += dict.df(p);
+      return true;
+    });
+    if (!current) return nullptr;
+    fresh->versions[s] = snaps[s].structure_version;
+  }
+  {
+    std::scoped_lock lock(df_table_->mu);
+    df_table_->table = fresh;
+  }
+  return fresh;
+}
+
+std::shared_ptr<const std::vector<uint32_t>> ShardedEngine::base_df_table()
+    const {
+  if (adopted_ != nullptr) return nullptr;
+  std::shared_lock fleet_lock(*shards_mu_);
+  for (;;) {
+    std::vector<EpochDelta> snaps(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      snaps[s] = shards_[s]->delta_snapshot();
+    }
+    std::shared_ptr<const DfTable> table = DfTableFor(snaps);
+    if (table != nullptr) {
+      return std::shared_ptr<const std::vector<uint32_t>>(table, &table->df);
+    }
+    std::this_thread::yield();
+  }
+}
+
 ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
                                       const MineOptions& options) {
   PM_CHECK_MSG(options.delta == nullptr,
@@ -837,6 +879,14 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     if (CancelExpired(options.cancel)) {
       return aborted(
           Status::DeadlineExceeded("deadline expired before sharded scatter"));
+    }
+
+    // The df table the gather divides by, pinned to this attempt's
+    // snapshots: null means a shard rebuilt after its snapshot was taken.
+    const std::shared_ptr<const DfTable> df_table = DfTableFor(snaps);
+    if (df_table == nullptr) {
+      std::this_thread::yield();  // let the rebuild finish before retrying
+      continue;
     }
     // Shard children are created up front so the pool workers each own a
     // distinct, already-placed node -- no locking inside the lambda.
@@ -922,36 +972,28 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     // Ids beyond the set can only come from a stale pre-refresh mine;
     // they are dropped (the shard would re-report under the new set
     // anyway).
-    const std::size_t set_size = global_set_->size();
+    const std::size_t set_size = df_table->df.size();
     std::vector<uint32_t>& slot_of = SlotTable(set_size);
     std::vector<GlobalCandidate> cands;
     for (const ShardScatter& shard : scatter) {
       for (const ShardCandidate& sc : shard.candidates) {
         if (sc.phrase >= set_size || slot_of[sc.phrase] != kNoSlot) continue;
         slot_of[sc.phrase] = static_cast<uint32_t>(cands.size());
-        cands.push_back(GlobalCandidate{sc.phrase, 0, 0});
+        cands.push_back(GlobalCandidate{sc.phrase, 0});
       }
     }
     const std::size_t num_cands = cands.size();
     // Summed per-term co-occurrence counts, row-major: candidate i's row
     // is cand_codf[i * r, (i + 1) * r) (list modes only).
     std::vector<uint32_t> cand_codf(IsCountMode(mode) ? 0 : num_cands * r, 0);
-    // Only the exhaustive merges need the reported bitmap (it restricts
-    // the fill to unreported shards); top-k' modes fill everything. Shard
-    // s's flags are reported[s * num_cands, (s + 1) * num_cands).
-    std::vector<uint8_t> reported;
     if (!IsTopKMode(mode)) {
-      reported.assign(n * num_cands, 0);
-      // Exhaustive scatter already carries each reporting shard's
-      // supports.
-      for (std::size_t s = 0; s < n; ++s) {
-        const ShardScatter& shard = scatter[s];
+      // An exhaustive scatter carries every shard's complete numerator
+      // supports; only the denominators below come from elsewhere.
+      for (const ShardScatter& shard : scatter) {
         for (std::size_t c = 0; c < shard.candidates.size(); ++c) {
           const ShardCandidate& sc = shard.candidates[c];
           if (sc.phrase >= set_size) continue;
           const std::size_t slot = slot_of[sc.phrase];
-          reported[s * num_cands + slot] = 1;
-          cands[slot].df += sc.df;
           cands[slot].freq_subset += sc.freq_subset;
           if (IsCountMode(mode)) continue;
           const uint32_t* row = &shard.codf[c * r];
@@ -964,189 +1006,36 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     // stale-retry paths below, which re-enter this block).
     for (const GlobalCandidate& gc : cands) slot_of[gc.phrase] = kNoSlot;
 
-    // --- Totals --------------------------------------------------------------
-    // |D| is always scatter-complete; |D'| is too on every path except
-    // the count top-k' one, whose sub-collections are counted in the fill
-    // round and added below.
-    std::size_t total_docs = 0;
-    std::size_t total_subcollection = 0;
-    for (const ShardScatter& s : scatter) {
-      total_docs += s.num_docs;
-      if (!(IsTopKMode(mode) && IsCountMode(mode))) {
-        total_subcollection += s.subcollection;
-      }
-    }
-
-    // Global score of one candidate's summed supports -- the single
-    // implementation both the final gather and the threshold round use,
-    // so a "settled" candidate's threshold score is bitwise the score the
-    // gather would compute. Returns false when the candidate can never
-    // appear in a result (no subset occurrence / missing AND term /
-    // non-positive OR score).
-    std::vector<double> probs(r);
-    auto evaluate = [&](std::size_t slot, double* score,
-                        double* interestingness) -> bool {
-      const GlobalCandidate& gc = cands[slot];
-      if (IsCountMode(mode)) {
-        if (gc.freq_subset == 0) return false;
-        *score = EvaluateInterestingness(
-            options.measure, static_cast<uint32_t>(gc.freq_subset),
-            static_cast<uint32_t>(gc.df), total_subcollection, total_docs);
-        *interestingness = *score;
-        return true;
-      }
-      const uint32_t* codf = &cand_codf[slot * r];
-      bool all_present = true;
-      for (std::size_t j = 0; j < r; ++j) {
-        if (codf[j] == 0) all_present = false;
-        // The monolithic list stores count / df in double; the same
-        // division over the summed integers reproduces it bitwise.
-        probs[j] = gc.df == 0 ? 0.0
-                              : static_cast<double>(codf[j]) /
-                                    static_cast<double>(gc.df);
-      }
-      if (query.op == QueryOperator::kAnd) {
-        if (!all_present) return false;
-        *score = AndScore(probs);
-        if (*score == kMinusInfinity) return false;
-      } else {
-        *score = OrScore(probs, options.or_order);
-        if (*score <= 0.0) return false;
-      }
-      *interestingness = ScoreToInterestingness(*score, query.op);
-      return true;
-    };
-
-    // --- Threshold exchange (exhaustive merges) ------------------------------
-    // The exhaustive scatter already carries complete freq/codf sums for
-    // every candidate; the fill round can only add df, and every
-    // supported score is non-increasing in df, so a candidate's score
-    // over the scatter sums is an upper bound on its final score. The
-    // shards' exchanged supports also settle every candidate reported by
-    // all of them (nothing left to fill), making those scores exact; the
-    // k-th best settled score is a lower bound on the global k-th result
-    // score. Candidates provably below it -- and candidates that can
-    // never qualify at all (a missing AND term is already final) -- skip
-    // the fill round entirely. The ranked output is bitwise unchanged.
-    std::vector<uint8_t> pruned;
-    uint64_t pruned_count = 0;
-    std::size_t settled_count = 0;       // trace-only exchange accounting
-    double exchange_floor = 0.0;
-    bool have_exchange_floor = false;
-    const double exchange_start = trace != nullptr ? watch.ElapsedMillis() : 0.0;
-    const bool df_monotone =
-        IsCountMode(mode) || query.op == QueryOperator::kAnd ||
-        options.or_order != OrExpansionOrder::kSecondOrder;
-    if (options_.threshold_exchange && !IsTopKMode(mode) && df_monotone &&
-        options.k > 0 && num_cands > options.k) {
-      pruned.assign(num_cands, 0);
-      struct Settled {
-        double score;
-        PhraseId phrase;
-      };
-      std::vector<Settled> settled;
-      std::vector<double> upper(num_cands, 0.0);
-      std::vector<uint8_t> alive(num_cands, 0);
-      for (std::size_t i = 0; i < num_cands; ++i) {
-        double score, interest;
-        if (!evaluate(i, &score, &interest)) continue;
-        alive[i] = 1;
-        upper[i] = score;
-        bool fully_reported = true;
-        for (std::size_t s = 0; s < n && fully_reported; ++s) {
-          fully_reported = reported[s * num_cands + i] != 0;
-        }
-        if (fully_reported) settled.push_back(Settled{score, cands[i].phrase});
-      }
-      bool have_floor = false;
-      double floor_score = 0.0;
-      if (settled.size() >= options.k) {
-        std::nth_element(settled.begin(),
-                         settled.begin() +
-                             static_cast<std::ptrdiff_t>(options.k - 1),
-                         settled.end(),
-                         [](const Settled& a, const Settled& b) {
-                           if (a.score != b.score) return a.score > b.score;
-                           return a.phrase < b.phrase;
-                         });
-        floor_score = settled[options.k - 1].score;
-        have_floor = true;
-      }
-      for (std::size_t i = 0; i < num_cands; ++i) {
-        if (!alive[i] || (have_floor && upper[i] < floor_score)) {
-          pruned[i] = 1;
-          ++pruned_count;
-        }
-      }
-      settled_count = settled.size();
-      exchange_floor = floor_score;
-      have_exchange_floor = have_floor;
-    }
-    if (trace != nullptr) {
-      TraceSpan* exchange = AddSpan(trace, "exchange");
-      exchange->wall_ms = watch.ElapsedMillis() - exchange_start;
-      AddCounter(exchange, "candidates", static_cast<double>(num_cands));
-      AddCounter(exchange, "settled", static_cast<double>(settled_count));
-      AddCounter(exchange, "pruned", static_cast<double>(pruned_count));
-      if (have_exchange_floor) AddCounter(exchange, "floor", exchange_floor);
-      if (!(options_.threshold_exchange && !IsTopKMode(mode) && df_monotone)) {
-        SetDetail(exchange, "skipped (not applicable)");
-      }
-    }
-
-    // --- Fill ----------------------------------------------------------------
-    // Top-k' scatter discovered identities only: every shard computes
-    // full supports for the whole union. Exhaustive scatter is complete
-    // except for the df of phrases a shard holds but did not touch for
-    // this query (freq or every codf zero there), which still belongs in
-    // the global denominator -- unless the threshold exchange proved the
-    // candidate out of contention above.
+    // --- Fill (top-k' only) --------------------------------------------------
+    // A top-k' scatter discovered identities only: every shard computes
+    // its numerator supports for the whole union. An exhaustive scatter
+    // already holds them all, so those merges skip the round.
     std::vector<ShardFill> fill(n);
     std::size_t fill_slots = 0;
-    const double fill_start = trace != nullptr ? watch.ElapsedMillis() : 0.0;
-    TraceSpan* fill_span = AddSpan(trace, "fill");
-    if (num_cands != 0) {
+    if (IsTopKMode(mode) && num_cands != 0) {
+      const double fill_start = trace != nullptr ? watch.ElapsedMillis() : 0.0;
+      TraceSpan* fill_span = AddSpan(trace, "fill");
       std::vector<TraceSpan*> fill_shard_spans(n, nullptr);
       for (std::size_t s = 0; s < n && fill_span != nullptr; ++s) {
         fill_shard_spans[s] = AddSpan(fill_span, "shard " + std::to_string(s));
       }
-      auto fill_leg = [&](std::size_t s) {
+      ParallelOverShards([&](std::size_t s) {
         SpanTimer span_timer(fill_shard_spans[s]);
         // Sibling aborted: leave this leg's fill empty (it sums as zero
         // supports; the abort check below discards the merge anyway).
         if (CancelRequested(options.cancel)) return;
-        std::vector<uint8_t> need(num_cands, 1);
-        if (!IsTopKMode(mode)) {
-          const uint8_t* mine = &reported[s * num_cands];
-          for (std::size_t i = 0; i < num_cands; ++i) {
-            need[i] = !mine[i] && (pruned.empty() || !pruned[i]);
-          }
-        }
-        bool ok;
-        if (IsCountMode(mode)) {
-          ok = CountFill(*shards_[s], query, cands, need,
-                         /*need_freq=*/IsTopKMode(mode), options.cancel,
-                         snaps[s], &fill[s]);
-        } else {
-          ok = ListFill(*shards_[s], query, cands, need,
-                        /*need_codf=*/IsTopKMode(mode), snaps[s], &fill[s]);
-        }
+        const bool ok =
+            IsCountMode(mode)
+                ? CountFill(*shards_[s], query, cands, options.cancel,
+                            snaps[s], &fill[s])
+                : ListFill(*shards_[s], query, cands, snaps[s], &fill[s]);
         if (!ok) stale.store(true, std::memory_order_relaxed);
-      };
-      if (IsTopKMode(mode)) {
-        ParallelOverShards(fill_leg);
-      } else {
-        // An exhaustive merge fills only document frequencies -- one
-        // dictionary lookup per unreported candidate -- which costs less
-        // than a pool round's hand-offs and latch wait: run it here.
-        for (std::size_t s = 0; s < n; ++s) fill_leg(s);
-      }
+      });
       if (stale.load(std::memory_order_relaxed)) {
         std::this_thread::yield();
         continue;
       }
       for (const ShardFill& f : fill) {
-        for (std::size_t i = 0; i < f.df.size(); ++i) cands[i].df += f.df[i];
         for (std::size_t i = 0; i < f.freq_subset.size(); ++i) {
           cands[i].freq_subset += f.freq_subset[i];
         }
@@ -1154,23 +1043,11 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
           cand_codf[x] += f.codf[x];
         }
       }
-      // Support lookups the fill actually performed (the exchange's
-      // savings metric): every (shard, candidate) pair still needing
-      // refinement after scatter reporting and threshold pruning.
-      if (IsTopKMode(mode)) {
-        fill_slots = num_cands * n;
-      } else {
-        for (std::size_t i = 0; i < num_cands; ++i) {
-          if (!pruned.empty() && pruned[i]) continue;
-          for (std::size_t s = 0; s < n; ++s) {
-            fill_slots += reported[s * num_cands + i] ? 0 : 1;
-          }
-        }
+      fill_slots = num_cands * n;
+      if (fill_span != nullptr) {
+        fill_span->wall_ms = watch.ElapsedMillis() - fill_start;
+        AddCounter(fill_span, "fill_slots", static_cast<double>(fill_slots));
       }
-    }
-    if (fill_span != nullptr) {
-      fill_span->wall_ms = watch.ElapsedMillis() - fill_start;
-      AddCounter(fill_span, "fill_slots", static_cast<double>(fill_slots));
     }
     // A fill leg that skipped on a latched token or stopped its count scan
     // early left partial supports, so one more full check bounds the
@@ -1183,8 +1060,30 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     const double gather_start = trace != nullptr ? watch.ElapsedMillis() : 0.0;
 
     // --- Gather: global scores from summed supports --------------------------
-    if (IsTopKMode(mode) && IsCountMode(mode)) {
-      for (const ShardFill& f : fill) total_subcollection += f.subcollection;
+    // |D| is always scatter-complete; |D'| is too on every path except
+    // the count top-k' one, whose sub-collections are counted in the fill.
+    std::size_t total_docs = 0;
+    std::size_t total_subcollection = 0;
+    for (const ShardScatter& sh : scatter) total_docs += sh.num_docs;
+    for (std::size_t s = 0; s < n; ++s) {
+      total_subcollection += IsTopKMode(mode) && IsCountMode(mode)
+                                 ? fill[s].subcollection
+                                 : scatter[s].subcollection;
+    }
+
+    // Denominators. Count methods mine the base corpus, so their df is
+    // the table's base df. List methods see each shard's overlay: the
+    // monolithic df is sum_s max(0, df_s(p) + DfDelta_s(p)), and every
+    // clamp there is a no-op -- df_s(p) + DfDelta_s(p) counts the shard's
+    // live documents containing p, never negative -- so it equals the
+    // table's sum plus the pending overlays' df deltas.
+    std::vector<const DeltaIndex*> overlays;
+    if (!IsCountMode(mode)) {
+      for (const EpochDelta& snap : snaps) {
+        if (const DeltaIndex* delta = PendingDelta(snap)) {
+          overlays.push_back(delta);
+        }
+      }
     }
 
     struct Ranked {
@@ -1194,12 +1093,40 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     };
     std::vector<Ranked> ranked;
     ranked.reserve(num_cands);
+    std::vector<double> probs(r);
     for (std::size_t i = 0; i < num_cands; ++i) {
-      if (!pruned.empty() && pruned[i]) continue;
+      const GlobalCandidate& gc = cands[i];
+      int64_t df = df_table->df[gc.phrase];
+      for (const DeltaIndex* delta : overlays) df += delta->DfDelta(gc.phrase);
       double score;
-      double interestingness;
-      if (!evaluate(i, &score, &interestingness)) continue;
-      ranked.push_back(Ranked{cands[i].phrase, score, interestingness});
+      if (IsCountMode(mode)) {
+        if (gc.freq_subset == 0) continue;
+        score = EvaluateInterestingness(
+            options.measure, static_cast<uint32_t>(gc.freq_subset),
+            static_cast<uint32_t>(df), total_subcollection, total_docs);
+        ranked.push_back(Ranked{gc.phrase, score, score});
+        continue;
+      }
+      const uint32_t* codf = &cand_codf[i * r];
+      bool all_present = true;
+      for (std::size_t j = 0; j < r; ++j) {
+        if (codf[j] == 0) all_present = false;
+        // The monolithic list stores count / df in double; the same
+        // division over the summed integers reproduces it bitwise.
+        probs[j] = df == 0 ? 0.0
+                           : static_cast<double>(codf[j]) /
+                                 static_cast<double>(df);
+      }
+      if (query.op == QueryOperator::kAnd) {
+        if (!all_present) continue;
+        score = AndScore(probs);
+        if (score == kMinusInfinity) continue;
+      } else {
+        score = OrScore(probs, options.or_order);
+        if (score <= 0.0) continue;
+      }
+      ranked.push_back(
+          Ranked{gc.phrase, score, ScoreToInterestingness(score, query.op)});
     }
     // Ties order by smaller global PhraseId -- the monolithic collector's
     // tie-break, now meaningful fleet-wide thanks to the shared set. That
@@ -1223,7 +1150,6 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
     ShardedMineResult out;
     out.candidates = num_cands;
     out.fill_slots = fill_slots;
-    out.result.candidates_pruned = pruned_count;
     out.exact_merge = !IsTopKMode(mode);
     out.result.phrases.reserve(ranked.size());
     out.texts.reserve(ranked.size());
@@ -1269,8 +1195,6 @@ ShardedMineResult ShardedEngine::Mine(const Query& query, Algorithm algorithm,
       trace->wall_ms = out.result.compute_ms;
       AddCounter(trace, "shards", static_cast<double>(n));
       AddCounter(trace, "candidates", static_cast<double>(num_cands));
-      AddCounter(trace, "candidates_pruned",
-                 static_cast<double>(pruned_count));
       out.result.trace = std::move(trace_root);
     }
     return out;
@@ -1347,8 +1271,8 @@ ShardedUpdateStats ShardedEngine::ApplyUpdate(const UpdateBatch& batch) {
       }
     } else if (want_event) {
       const EpochDelta snap = shards_[s]->delta_snapshot();
-      ev.shards[s] = {snap.epoch, snap.generation,
-                      shards_[s]->structure_version(), snap.delta};
+      ev.shards[s] = {snap.epoch, snap.generation, snap.structure_version,
+                      snap.delta};
     }
     out.epochs[s] = shards_[s]->epoch();
     out.total.epoch += out.epochs[s];
@@ -1404,8 +1328,8 @@ void ShardedEngine::NotifyRebuiltLocked() {
   ev.shards.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const EpochDelta snap = shards_[s]->delta_snapshot();
-    ev.shards[s] = {snap.epoch, snap.generation,
-                    shards_[s]->structure_version(), snap.delta};
+    ev.shards[s] = {snap.epoch, snap.generation, snap.structure_version,
+                    snap.delta};
     ev.epoch += snap.epoch;
   }
   update_listener_(ev);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,18 +42,6 @@ struct ShardedEngineOptions {
   std::size_t merge_slack = 16;
   /// Worker threads mining shards in parallel; 0 means num_shards.
   std::size_t mine_threads = 0;
-  /// Cross-shard threshold exchange on the exhaustive merges (Exact,
-  /// SMJ): after the scatter round the merge computes every union
-  /// candidate's score upper bound from the scatter-complete supports
-  /// (freq/codf sums are final there; the fill round can only add df,
-  /// which never raises a score) and a global k-th floor from the
-  /// candidates every shard reported (their supports are already
-  /// complete, so their scores are exact), then drops candidates provably
-  /// below the floor before any per-shard fill work. Ranked output is
-  /// bitwise unchanged; MineResult::candidates_pruned counts the drops.
-  /// Disabled automatically where the bound is not provable (second-order
-  /// OR expansion, whose score is not monotone in df).
-  bool threshold_exchange = true;
   /// Declares every shard's word lists disk-backed: each shard engine
   /// gets its OWN SimulatedDisk (engine.disk device model), so kNraDisk
   /// scatters run on genuinely parallel, independently-throttled devices
@@ -166,10 +155,9 @@ struct ShardedMineResult {
   std::vector<std::string> texts;
   /// Size of the merged candidate union before the top-k cut.
   std::size_t candidates = 0;
-  /// Support lookups the fill round performed: (shard, candidate) pairs
-  /// that needed df/codf refinement after the scatter. The threshold
-  /// exchange's savings show up here (and in result.candidates_pruned);
-  /// bench_shard_scaling reports both.
+  /// Support lookups the top-k' fill round performed: one per (shard,
+  /// union candidate) pair. Always 0 on the exhaustive merges (Exact,
+  /// SMJ), which have no fill round.
   std::size_t fill_slots = 0;
   /// True when the merge was support-exhaustive (Exact, SMJ): the ranked
   /// output provably equals the monolithic engine's, tie order included
@@ -201,18 +189,29 @@ struct ShardedMineResult {
 /// PhraseIds are portable too, and both match a monolithic engine built
 /// from the same corpus and options.
 ///
-/// Exactness per algorithm (see README "Sharding" for the derivation):
-///  * kExact: exact. The scatter mirrors ExactMiner per shard (a full
-///    forward scan of the shard's sub-collection), the gather sums
-///    freq(p, D'_s), df_s, |D'_s| and |D_s| -- all plain sums over the
-///    disjoint partition -- and re-evaluates Eq. 1/PMI from the totals,
-///    which is bitwise the monolithic computation, tie order included.
-///  * kSmj: exact over full lists. The scatter unions every per-term
-///    (phrase, prob) entry of the shard's word lists (delta-overlaid
-///    under pending updates), the gather recovers integer co-occurrence
-///    counts, sums them, and recomputes P(q|p) = sum codf / sum df --
-///    bitwise the probability a monolithic list would store. Sharded SMJ
-///    always merges full lists (a truncation fraction < 1 is a
+/// Fleet-wide df table: a phrase's document frequency -- the denominator
+/// of Eq. 1 and of every stored list probability -- depends on the phrase
+/// alone, never on the query. The fleet keeps one immutable table of
+/// sum_s df_s(p) over the global phrase set, tagged with every shard's
+/// structure_version(); a mine whose snapshots carry other versions (a
+/// rebuild, a reload, a dictionary refresh) recomputes and republishes
+/// it before scattering. The gather reads every candidate's df from it,
+/// so no round ever ships a df.
+///
+/// Exactness per algorithm (see docs/exactness.md for the derivation):
+///  * kExact: exact, one round. The scatter mirrors ExactMiner per shard
+///    (a full forward scan of the shard's sub-collection), the gather sums
+///    freq(p, D'_s), |D'_s| and |D_s| -- all plain sums over the disjoint
+///    partition -- takes the base df from the table and re-evaluates
+///    Eq. 1/PMI from the totals, which is bitwise the monolithic
+///    computation, tie order included.
+///  * kSmj: exact over full lists, one round. The scatter unions every
+///    per-term (phrase, prob) entry of the shard's word lists
+///    (delta-overlaid under pending updates), the gather recovers integer
+///    co-occurrence counts, sums them, and recomputes P(q|p) = sum codf /
+///    df, where df is the table's base df plus every pending overlay's
+///    DfDelta -- bitwise the probability a monolithic list would store.
+///    Sharded SMJ always merges full lists (a truncation fraction < 1 is a
 ///    construction-time decision this path does not offer).
 ///  * kGm, kSimitsis, kNra, kNraDisk: approximate with a documented
 ///    bound. Each shard mines top-k' = merge_headroom * k + merge_slack
@@ -224,17 +223,6 @@ struct ShardedMineResult {
 ///    phrases are provably below max_s(floor_s) (ShardedMineResult::
 ///    candidate_floor), while multi-term aggregation makes the bound
 ///    heuristic (a phrase mediocre everywhere can sum above it).
-///
-/// Threshold exchange (exhaustive merges): the scatter round already
-/// carries every reporting shard's complete freq/codf supports, so each
-/// union candidate's score computed from the scatter sums is an upper
-/// bound on its final score (the fill round only adds df terms to
-/// denominators, and every supported measure/score is non-increasing in
-/// df), and candidates reported by all shards have exact scores already.
-/// The k-th best of those exact scores is a lower bound on the global
-/// k-th result score, so any candidate whose upper bound falls strictly
-/// below it is dropped before the fill round does per-shard support work
-/// -- provably without changing the ranked output. See README "Sharding".
 ///
 /// Updates: ApplyUpdate routes inserts to their owning shard (documents
 /// are numbered globally: build-time ids first, ingested ids after) and
@@ -416,20 +404,18 @@ class ShardedEngine {
   /// adopted fleet's phrase set is its engine's dict().
   const PhraseDictionary& phrase_set() const { return *global_set_; }
 
+  /// The fleet-wide base df table a mine would read now, indexed by
+  /// global PhraseId: sum over shards of shard(s).dict().df(p),
+  /// recomputed first if any shard's structure moved since it was
+  /// published (see the class comment). Null on an adopted fleet.
+  std::shared_ptr<const std::vector<uint32_t>> base_df_table() const;
+
   /// Documents across all shards at build time plus ingested ones (dead
   /// ids included; global numbering never compacts). 0 on an adopted
   /// fleet, whose engine keeps its own numbering.
   std::size_t num_docs() const;
 
   const Options& options() const { return options_; }
-
-  /// Toggles the threshold exchange at runtime (benchmarks measure the
-  /// same engine with the round on and off; results are identical either
-  /// way -- the exchange only prunes provably-losing fill work). Not
-  /// synchronized: do not flip concurrently with Mine.
-  void SetThresholdExchange(bool enabled) {
-    options_.threshold_exchange = enabled;
-  }
 
   /// Re-budgets every shard's disk tier at runtime (benchmarks sweep
   /// resident fractions on one built fleet; results are identical at
@@ -457,6 +443,20 @@ class ShardedEngine {
   };
 
   std::size_t ShardOf(DocId global) const;
+
+  /// One published fleet-wide df table and the shard structures it sums.
+  struct DfTable {
+    std::vector<uint64_t> versions;  // shard structure_version()s, in order
+    std::vector<uint32_t> df;        // indexed by global PhraseId
+  };
+
+  /// The table matching `snaps` (one snapshot per shard): the published
+  /// one when its versions equal the snapshots', else a fresh sum read
+  /// under each shard's shared structure lock, then published. Null when
+  /// a shard's structure already moved past its snapshot; the caller
+  /// retries with fresh snapshots. Caller holds the fleet lock shared.
+  std::shared_ptr<const DfTable> DfTableFor(
+      std::span<const EpochDelta> snaps) const;
 
   /// Runs fn(shard_index) for every shard on the pool, inline when the
   /// pool is saturated or shut down, and waits for all of them.
@@ -486,6 +486,15 @@ class ShardedEngine {
   /// exclusive only for RefreshDictionary's swap.
   std::unique_ptr<std::shared_mutex> shards_mu_ =
       std::make_unique<std::shared_mutex>();
+
+  /// The published df table. Mines swap in a recomputed table under `mu`
+  /// and read their own copy of the pointer, so a publish racing a mine
+  /// never changes the table that mine divides by.
+  struct DfTableSlot {
+    std::mutex mu;
+    std::shared_ptr<const DfTable> table;
+  };
+  std::unique_ptr<DfTableSlot> df_table_ = std::make_unique<DfTableSlot>();
 
   /// Guards the global document numbering; also serializes
   /// ApplyUpdate and the rebuild tiers against each other (per-shard

@@ -156,7 +156,7 @@ TEST(ObsTraceTest, ShardedDiskTraceStructureAndFleetDeltasAgree) {
   ASSERT_NE(mine, nullptr);
   EXPECT_FALSE(mine->detail.empty());
   EXPECT_EQ(CounterValue(*mine, "shards"), 3.0);
-  for (const char* phase : {"exchange", "fill", "gather", "materialize"}) {
+  for (const char* phase : {"fill", "gather", "materialize"}) {
     EXPECT_NE(Child(*mine, phase), nullptr) << phase;
   }
 

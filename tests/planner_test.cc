@@ -31,18 +31,18 @@ PlannerInputs BaseInputs() {
   return inputs;
 }
 
-TEST(PlannerTest, EmptyQueryFallsBackToGm) {
+TEST(PlannerTest, EmptyQueryFallsBackToExact) {
   PlannerInputs inputs = BaseInputs();
   PlanDecision d = CostPlanner::PlanFromInputs(inputs, {});
-  EXPECT_EQ(d.algorithm, Algorithm::kGm);
+  EXPECT_EQ(d.algorithm, Algorithm::kExact);
   EXPECT_NE(d.reason.find("empty query"), std::string::npos);
 }
 
-TEST(PlannerTest, ZeroDfTermUnderAndShortCircuitsToGm) {
+TEST(PlannerTest, ZeroDfTermUnderAndShortCircuitsToExact) {
   PlannerInputs inputs = BaseInputs();
   inputs.terms = {Term(1, 5000, true, 1000), Term(2, 0, false, 0)};
   PlanDecision d = CostPlanner::PlanFromInputs(inputs, {});
-  EXPECT_EQ(d.algorithm, Algorithm::kGm);
+  EXPECT_EQ(d.algorithm, Algorithm::kExact);
   EXPECT_EQ(d.estimated_subcollection, 0u);
   EXPECT_NE(d.reason.find("empty subcollection"), std::string::npos);
 }
@@ -53,7 +53,7 @@ TEST(PlannerTest, ApproximationDisallowedNeverPicksListMethods) {
   PlannerOptions options;
   options.allow_approximate = false;
   PlanDecision d = CostPlanner::PlanFromInputs(inputs, options);
-  EXPECT_EQ(d.algorithm, Algorithm::kGm);
+  EXPECT_EQ(d.algorithm, Algorithm::kExact);
 
   // Tiny subcollection under the same flag goes to Exact.
   inputs.terms = {Term(1, 100, true, 200), Term(2, 100, true, 200)};
@@ -90,7 +90,7 @@ TEST(PlannerTest, ShortBuiltListsFavorSmj) {
   EXPECT_EQ(d.algorithm, Algorithm::kSmj);
 }
 
-TEST(PlannerTest, UnbuiltListsChargeBuildCostTowardGm) {
+TEST(PlannerTest, UnbuiltListsChargeBuildCostTowardExact) {
   PlannerInputs inputs = BaseInputs();
   inputs.avg_doc_phrases = 50.0;
   // Unbuilt lists with huge estimated lengths plus amortized build cost
@@ -98,7 +98,7 @@ TEST(PlannerTest, UnbuiltListsChargeBuildCostTowardGm) {
   inputs.terms = {Term(1, 20000, false, 200000),
                   Term(2, 20000, false, 200000)};
   PlanDecision d = CostPlanner::PlanFromInputs(inputs, {});
-  EXPECT_EQ(d.algorithm, Algorithm::kGm);
+  EXPECT_EQ(d.algorithm, Algorithm::kExact);
 }
 
 TEST(PlannerTest, LargerKRaisesNraCost) {
@@ -148,13 +148,13 @@ TEST(PlannerTest, PendingUpdatesExcludeStaleMethods) {
   EXPECT_TRUE(tiny.algorithm == Algorithm::kNra ||
               tiny.algorithm == Algorithm::kSmj)
       << AlgorithmName(tiny.algorithm);
-  // Huge subcollection: GM must not appear in the candidate costs.
+  // Huge subcollection: Exact must not appear in the candidate costs.
   inputs.terms = {Term(1, 70000, true, 30000), Term(2, 70000, true, 30000)};
   PlanDecision big = CostPlanner::PlanFromInputs(inputs, {});
   EXPECT_TRUE(big.algorithm == Algorithm::kNra ||
               big.algorithm == Algorithm::kSmj);
   for (const auto& [algorithm, cost] : big.estimated_costs) {
-    EXPECT_NE(algorithm, Algorithm::kGm);
+    EXPECT_NE(algorithm, Algorithm::kExact);
   }
   // Zero-df under AND: emptiness must be proven against the live corpus.
   inputs.terms = {Term(1, 5000, true, 1000), Term(2, 0, false, 0)};
@@ -166,7 +166,54 @@ TEST(PlannerTest, PendingUpdatesExcludeStaleMethods) {
   exact_only.allow_approximate = false;
   inputs.terms = {Term(1, 20000, true, 30000)};
   PlanDecision promised = CostPlanner::PlanFromInputs(inputs, exact_only);
-  EXPECT_EQ(promised.algorithm, Algorithm::kGm);
+  EXPECT_EQ(promised.algorithm, Algorithm::kExact);
+}
+
+/// Decision-table rows for fleets: multi-shard inputs with no pending
+/// overlay must never route to SMJ (its exhaustive fleet merge costs more
+/// than Exact's), while the same inputs with an overlay pending still can.
+std::vector<std::vector<PlannerInputs>> FleetRows() {
+  std::vector<std::vector<PlannerInputs>> rows;
+  for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
+    for (const bool disk : {false, true}) {
+      for (const std::size_t length : {50u, 300u, 3000u, 30000u}) {
+        for (const uint32_t df : {500u, 4000u, 20000u}) {
+          PlannerInputs shard = BaseInputs();
+          shard.op = op;
+          shard.disk_backed = disk;
+          shard.terms = {Term(1, df, true, length), Term(2, df, true, length)};
+          for (TermPlanStats& t : shard.terms) {
+            t.on_disk = disk;
+            t.disk_blocks = disk ? length / 100 : 0;
+          }
+          rows.push_back({shard, shard, shard, shard});
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(PlannerTest, FleetWithoutOverlayNeverPicksSmj) {
+  for (const std::vector<PlannerInputs>& shards : FleetRows()) {
+    const PlanDecision d = CostPlanner::PlanAcrossShards(shards, {});
+    EXPECT_NE(d.algorithm, Algorithm::kSmj) << d.ToString();
+    EXPECT_NE(d.algorithm, Algorithm::kGm) << d.ToString();
+    for (const auto& [algorithm, cost] : d.estimated_costs) {
+      EXPECT_NE(algorithm, Algorithm::kSmj) << d.ToString();
+    }
+  }
+}
+
+TEST(PlannerTest, FleetWithPendingOverlayStillPicksSmj) {
+  std::size_t smj = 0;
+  for (std::vector<PlannerInputs> shards : FleetRows()) {
+    shards[2].updates_pending = true;
+    const PlanDecision d = CostPlanner::PlanAcrossShards(shards, {});
+    EXPECT_NE(d.algorithm, Algorithm::kExact) << d.ToString();
+    smj += d.algorithm == Algorithm::kSmj ? 1 : 0;
+  }
+  EXPECT_GT(smj, 0u);
 }
 
 TEST(PlannerTest, DiskBackedEmitsNraDiskCandidateWithIoCharge) {
@@ -310,7 +357,6 @@ TEST(PlannerTest, PlanOverRealEngineFillsStatistics) {
   }
   // The planner only ever selects serving algorithms.
   EXPECT_TRUE(d.algorithm == Algorithm::kExact ||
-              d.algorithm == Algorithm::kGm ||
               d.algorithm == Algorithm::kNra ||
               d.algorithm == Algorithm::kSmj);
   EXPECT_FALSE(d.ToString().empty());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/engine.h"
 #include "eval/query_gen.h"
 #include "obs/trace.h"
+#include "phrase/phrase_extractor.h"
 #include "storage/index_file.h"
 #include "test_util.h"
 
@@ -154,92 +156,251 @@ TEST(ShardedEngineTest, DifferentialExactAndSmjMatchMonolith) {
   }
 }
 
-// --- Threshold exchange ------------------------------------------------------
+// --- Fleet-wide df table -----------------------------------------------------
 
-/// The exchange must be a pure fill-work optimization: ranked output
-/// bitwise identical with the round on and off (and hence still identical
-/// to the monolithic engine, which the differential test above already
-/// pins), while at 4 shards it actually prunes candidates and saves fill
-/// slots somewhere in the workload.
-TEST(ShardedEngineTest, ThresholdExchangePreservesResultsAndPrunesFill) {
-  MiningEngine mono =
-      MiningEngine::Build(MakeSmallSyntheticCorpus(900),
-                          EngineOptions(/*min_df=*/3));
-  ShardedEngine sharded =
-      BuildSharded(MakeSmallSyntheticCorpus(900), /*num_shards=*/4,
-                   /*min_df=*/3);
-  const std::vector<Query> queries = HarvestQueries(mono, 8);
-  ASSERT_FALSE(queries.empty());
-
-  uint64_t total_pruned = 0;
-  std::size_t slots_on = 0;
-  std::size_t slots_off = 0;
-  for (const Algorithm algorithm : {Algorithm::kExact, Algorithm::kSmj}) {
-    for (const Query& base : queries) {
-      for (const QueryOperator op :
-           {QueryOperator::kAnd, QueryOperator::kOr}) {
-        Query query = base;
-        query.op = op;
-        sharded.SetThresholdExchange(false);
-        const ShardedMineResult off =
-            sharded.Mine(query, algorithm, MineOptions{.k = 5});
-        EXPECT_EQ(off.result.candidates_pruned, 0u);
-        sharded.SetThresholdExchange(true);
-        const ShardedMineResult on =
-            sharded.Mine(query, algorithm, MineOptions{.k = 5});
-
-        ASSERT_EQ(on.result.phrases.size(), off.result.phrases.size());
-        for (std::size_t i = 0; i < on.result.phrases.size(); ++i) {
-          EXPECT_EQ(on.result.phrases[i].phrase, off.result.phrases[i].phrase);
-          EXPECT_EQ(on.result.phrases[i].score, off.result.phrases[i].score);
-        }
-        EXPECT_EQ(on.candidates, off.candidates);
-        EXPECT_LE(on.fill_slots, off.fill_slots);
-        total_pruned += on.result.candidates_pruned;
-        slots_on += on.fill_slots;
-        slots_off += off.fill_slots;
-      }
+/// Asserts the fleet's df table is the per-phrase sum of its shards' own
+/// dictionary dfs over the whole global phrase set.
+void ExpectTableIsShardSum(const ShardedEngine& sharded) {
+  const auto table = sharded.base_df_table();
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->size(), sharded.phrase_set().size());
+  for (PhraseId p = 0; p < table->size(); ++p) {
+    uint32_t sum = 0;
+    for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+      sum += sharded.shard(s).dict().df(p);
     }
+    ASSERT_EQ((*table)[p], sum) << "phrase " << p;
   }
-  // The workload as a whole must show real pruning (AND queries drop
-  // cross-shard-only candidates; fully-reported floors prune the rest).
-  EXPECT_GT(total_pruned, 0u);
-  EXPECT_LT(slots_on, slots_off);
 }
 
-/// Same invariant under a pending delta overlay: the exchange reads the
-/// delta-corrected scatter supports, so the on/off results must stay
-/// identical after updates too.
-TEST(ShardedEngineTest, ThresholdExchangeExactUnderDelta) {
-  MiningEngine mono =
-      MiningEngine::Build(MakeSmallSyntheticCorpus(500),
-                          EngineOptions(/*min_df=*/3));
+TEST(ShardedEngineTest, DfTableIsShardSumAcrossLifecycle) {
+  const std::string prefix = ::testing::TempDir() + "/df_table_fleet";
+  ShardedEngineOptions extra;
+  extra.persist_path = prefix;
   ShardedEngine sharded =
-      BuildSharded(MakeSmallSyntheticCorpus(500), /*num_shards=*/4,
+      BuildSharded(MakeSmallSyntheticCorpus(400), /*num_shards=*/3,
+                   /*min_df=*/3, std::move(extra));
+  ASSERT_TRUE(sharded.persist_status().ok());
+  ExpectTableIsShardSum(sharded);
+
+  auto loaded = ShardedEngine::LoadFromFiles(prefix);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectTableIsShardSum(loaded.value());
+
+  // A batch moves dfs only in the overlay; a shard rebuild absorbs them
+  // into that shard's base dictionary, which the table must follow.
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
+  ExpectTableIsShardSum(sharded);
+  sharded.RebuildShard(0);
+  ExpectTableIsShardSum(sharded);
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(1), 15));
+  sharded.Rebuild();
+  ExpectTableIsShardSum(sharded);
+
+  UpdateBatch born;
+  born.inserts.push_back(UpdateDoc{{"brand", "new", "collocation"}, {}});
+  born.inserts.push_back(UpdateDoc{{"brand", "new", "collocation"}, {}});
+  (void)sharded.ApplyUpdate(born);
+  ASSERT_TRUE(sharded.RefreshDictionary().ok());
+  ExpectTableIsShardSum(sharded);
+  EXPECT_EQ(ShardedEngine::Adopt(&sharded.shard(0)).base_df_table(), nullptr);
+
+  std::remove(ShardedEngine::FleetManifestPath(prefix).c_str());
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    std::remove(ShardedEngine::ShardFilePath(prefix, s).c_str());
+  }
+}
+
+/// Ranked output as raw words: ids plus score and interestingness bit
+/// patterns, so "equal" means bitwise.
+std::vector<uint64_t> BitwiseRanked(const MineResult& result) {
+  std::vector<uint64_t> words;
+  for (const MinedPhrase& p : result.phrases) {
+    words.push_back(p.phrase);
+    words.push_back(std::bit_cast<uint64_t>(p.score));
+    words.push_back(std::bit_cast<uint64_t>(p.interestingness));
+  }
+  return words;
+}
+
+/// The one-round exhaustive merges against monolithic engines over the
+/// same documents: fresh, under a pending overlay (SMJ exact under delta,
+/// Exact stale on both sides) and after every shard rebuilt its overlay
+/// into its base structures -- which moves the base dfs the table sums.
+TEST(ShardedEngineTest, ExhaustiveMergesMatchMonolithBitwise) {
+  const MiningEngineOptions options = EngineOptions(/*min_df=*/3);
+  MiningEngine mono =
+      MiningEngine::Build(MakeSmallSyntheticCorpus(600), options);
+  ShardedEngine sharded =
+      BuildSharded(MakeSmallSyntheticCorpus(600), /*num_shards=*/4,
                    /*min_df=*/3);
-  const std::vector<Query> queries = HarvestQueries(mono, 5);
+  const std::vector<Query> queries = HarvestQueries(mono, 6);
   ASSERT_FALSE(queries.empty());
 
-  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
-
-  for (const Query& base : queries) {
-    for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
-      Query query = base;
-      query.op = op;
-      sharded.SetThresholdExchange(false);
-      const ShardedMineResult off =
-          sharded.Mine(query, Algorithm::kSmj, MineOptions{.k = 5});
-      sharded.SetThresholdExchange(true);
-      const ShardedMineResult on =
-          sharded.Mine(query, Algorithm::kSmj, MineOptions{.k = 5});
-      EXPECT_EQ(on.result.guarantee, UpdateGuarantee::kExactUnderDelta);
-      ASSERT_EQ(on.result.phrases.size(), off.result.phrases.size());
-      for (std::size_t i = 0; i < on.result.phrases.size(); ++i) {
-        EXPECT_EQ(on.result.phrases[i].phrase, off.result.phrases[i].phrase);
-        EXPECT_EQ(on.result.phrases[i].score, off.result.phrases[i].score);
+  // Mines every query both ways under Exact and SMJ and compares against
+  // `reference`, bitwise.
+  auto expect_equal = [&](MiningEngine& reference, const char* stage,
+                          UpdateGuarantee smj_guarantee) {
+    for (const Algorithm algorithm : {Algorithm::kExact, Algorithm::kSmj}) {
+      for (const Query& base : queries) {
+        for (const QueryOperator op :
+             {QueryOperator::kAnd, QueryOperator::kOr}) {
+          Query query = base;
+          query.op = op;
+          const MineOptions mine_options{.k = 5};
+          const ShardedMineResult merged =
+              sharded.Mine(query, algorithm, mine_options);
+          const MineResult expected =
+              reference.Mine(query, algorithm, mine_options);
+          EXPECT_EQ(BitwiseRanked(merged.result), BitwiseRanked(expected))
+              << stage << " " << AlgorithmName(algorithm);
+          EXPECT_EQ(merged.fill_slots, 0u);
+          if (algorithm == Algorithm::kSmj) {
+            EXPECT_EQ(merged.result.guarantee, smj_guarantee) << stage;
+          }
+        }
       }
     }
+  };
+  expect_equal(mono, "fresh", UpdateGuarantee::kFresh);
+
+  const UpdateBatch batch = CopyDocsBatch(sharded.shard(0), 20);
+  (void)mono.ApplyUpdate(batch);
+  (void)sharded.ApplyUpdate(batch);
+  expect_equal(mono, "overlay", UpdateGuarantee::kExactUnderDelta);
+
+  // After the shard rebuilds the fleet serves the live documents over its
+  // frozen phrase set: the reference is an engine built from those
+  // documents with the same fixed set.
+  sharded.Rebuild();
+  Corpus original = MakeSmallSyntheticCorpus(600);
+  Corpus live;
+  live.vocab() = original.vocab();
+  for (DocId d = 0; d < original.size(); ++d) {
+    if (d != 2 && d != 4) live.AddDocument(original.doc(d));
   }
+  for (const UpdateDoc& doc : batch.inserts) {
+    Document d;
+    for (const std::string& token : doc.tokens) {
+      d.tokens.push_back(live.vocab().Intern(token));
+    }
+    live.AddDocument(d);
+  }
+  MiningEngineOptions fixed = options;
+  fixed.fixed_phrase_set = std::make_shared<const PhraseDictionary>(
+      PhraseExtractor(options.extractor).Extract(original));
+  MiningEngine rebuilt = MiningEngine::Build(std::move(live), fixed);
+  expect_equal(rebuilt, "rebuilt", UpdateGuarantee::kFresh);
+}
+
+/// A batch aimed at `queries`: copies (tokens and facets) of the first
+/// `per_query` documents of each query's sub-collection, and deletes of
+/// the next two, so absorbing it moves the dfs of the phrases those
+/// queries rank.
+UpdateBatch MatchingDocsBatch(const MiningEngine& mono,
+                              const std::vector<Query>& queries,
+                              std::size_t per_query) {
+  UpdateBatch batch;
+  const Vocabulary& vocab = mono.corpus().vocab();
+  for (const Query& query : queries) {
+    const std::vector<DocId> subset = EvalSubCollection(query, mono.inverted());
+    for (std::size_t i = 0; i < subset.size() && i < per_query + 2; ++i) {
+      if (i >= per_query) {
+        batch.deletes.push_back(subset[i]);
+        continue;
+      }
+      const Document& src = mono.corpus().doc(subset[i]);
+      UpdateDoc doc;
+      for (TermId t : src.tokens) {
+        doc.tokens.push_back(std::string(vocab.TermText(t)));
+      }
+      for (TermId t : src.facets) {
+        doc.facets.push_back(std::string(vocab.TermText(t)));
+      }
+      batch.inserts.push_back(std::move(doc));
+    }
+  }
+  return batch;
+}
+
+/// Exhaustive mines racing shard rebuilds: each rebuild absorbs a pending
+/// overlay aimed at the mined queries and so changes the base dfs the
+/// table sums. Every answer must be the one of the per-shard state its
+/// epoch vector names -- a result dividing by a table of other shard
+/// versions would match none.
+TEST(ShardedEngineTest, ExhaustiveMinesRacingRebuildsNeverMixTableVersions) {
+  constexpr std::size_t kShards = 2;
+  auto make = [] {
+    return BuildSharded(MakeSmallSyntheticCorpus(300), kShards,
+                        /*min_df=*/3);
+  };
+  MiningEngine mono =
+      MiningEngine::Build(MakeSmallSyntheticCorpus(300), EngineOptions(3));
+  std::vector<Query> queries = HarvestQueries(mono, 2);
+  ASSERT_FALSE(queries.empty());
+  const Algorithm algorithms[] = {Algorithm::kExact, Algorithm::kSmj};
+  const std::size_t num_cases = 2 * queries.size();
+  auto mine_case = [&](ShardedEngine& fleet, std::size_t c) {
+    return fleet.Mine(queries[c / 2], algorithms[c % 2], MineOptions{.k = 5});
+  };
+
+  ShardedEngine sharded = make();
+  const UpdateBatch batch = MatchingDocsBatch(mono, queries, 6);
+
+  // Reference answers per rebuilt-shard subset, keyed by epoch vector (a
+  // reader's snapshots may see shard 1 rebuilt and shard 0 not).
+  std::map<std::vector<uint64_t>, std::vector<std::vector<uint64_t>>>
+      expected;
+  for (unsigned mask = 0; mask < (1u << kShards); ++mask) {
+    ShardedEngine reference = make();
+    (void)reference.ApplyUpdate(batch);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      if (mask & (1u << s)) reference.RebuildShard(s);
+    }
+    std::vector<std::vector<uint64_t>>& answers =
+        expected[reference.epochs()];
+    for (std::size_t c = 0; c < num_cases; ++c) {
+      answers.push_back(BitwiseRanked(mine_case(reference, c).result));
+    }
+  }
+  ASSERT_EQ(expected.size(), 1u << kShards);
+
+  (void)sharded.ApplyUpdate(batch);
+  struct Seen {
+    std::vector<uint64_t> epochs;
+    std::size_t c;
+    std::vector<uint64_t> ranked;
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Seen>> seen(2);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    readers.emplace_back([&, r] {
+      for (std::size_t c = r; !done.load(std::memory_order_relaxed); ++c) {
+        const ShardedMineResult merged = mine_case(sharded, c % num_cases);
+        seen[r].push_back(Seen{merged.result.shard_epochs, c % num_cases,
+                               BitwiseRanked(merged.result)});
+      }
+    });
+  }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    sharded.RebuildShard(s);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  std::size_t checked = 0;
+  for (const std::vector<Seen>& log : seen) {
+    for (const Seen& entry : log) {
+      const auto it = expected.find(entry.epochs);
+      ASSERT_NE(it, expected.end());
+      EXPECT_EQ(entry.ranked, it->second[entry.c]) << "case " << entry.c;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // --- Merge layout invariance -------------------------------------------------
@@ -248,7 +409,9 @@ TEST(ShardedEngineTest, ThresholdExchangeExactUnderDelta) {
 /// id and score bit pattern plus the merge's work counters (union size,
 /// fill slots, pruned candidates), across all six algorithms x AND/OR,
 /// fresh and under a pending overlay. A change to the scatter, union,
-/// fill or gather data layout must leave the digest where it is.
+/// fill or gather data layout must leave the digest where it is; a change
+/// to which rounds run moves it, and MergeRankedOutputIsPinned then shows
+/// whether the ranked output moved too.
 TEST(ShardedEngineTest, MergeOutputIsPinned) {
   MiningEngine mono =
       MiningEngine::Build(MakeSmallSyntheticCorpus(600),
@@ -287,7 +450,52 @@ TEST(ShardedEngineTest, MergeOutputIsPinned) {
   const uint64_t digest =
       Fnv1a64(reinterpret_cast<const uint8_t*>(words.data()),
               words.size() * sizeof(uint64_t));
-  EXPECT_EQ(digest, 0xdc31309cbcb8755eull) << std::hex << digest;
+  EXPECT_EQ(digest, 0x197cdd90a868d965ull) << std::hex << digest;
+}
+
+/// Pins what a caller sees of the merge, on MergeOutputIsPinned's grid:
+/// ranked ids, score and interestingness bit patterns and the union size,
+/// without the merge's internal work counters. A change to how supports
+/// reach the gather (which shards fill what, where df comes from) must
+/// leave this digest where it is.
+TEST(ShardedEngineTest, MergeRankedOutputIsPinned) {
+  MiningEngine mono =
+      MiningEngine::Build(MakeSmallSyntheticCorpus(600),
+                          EngineOptions(/*min_df=*/3));
+  ShardedEngine sharded =
+      BuildSharded(MakeSmallSyntheticCorpus(600), /*num_shards=*/4,
+                   /*min_df=*/3);
+  const std::vector<Query> queries = HarvestQueries(mono, 6);
+  ASSERT_FALSE(queries.empty());
+
+  std::vector<uint64_t> words;
+  auto mine_all = [&] {
+    for (const Algorithm algorithm : kAllAlgorithms) {
+      for (const Query& base : queries) {
+        for (const QueryOperator op :
+             {QueryOperator::kAnd, QueryOperator::kOr}) {
+          Query query = base;
+          query.op = op;
+          const ShardedMineResult merged =
+              sharded.Mine(query, algorithm, MineOptions{.k = 5});
+          ASSERT_TRUE(merged.result.status.ok());
+          for (const MinedPhrase& p : merged.result.phrases) {
+            words.push_back(p.phrase);
+            words.push_back(std::bit_cast<uint64_t>(p.score));
+            words.push_back(std::bit_cast<uint64_t>(p.interestingness));
+          }
+          words.push_back(merged.candidates);
+        }
+      }
+    }
+  };
+  mine_all();
+  (void)sharded.ApplyUpdate(CopyDocsBatch(sharded.shard(0), 20));
+  mine_all();
+  const uint64_t digest =
+      Fnv1a64(reinterpret_cast<const uint8_t*>(words.data()),
+              words.size() * sizeof(uint64_t));
+  EXPECT_EQ(digest, 0xa0dadf1fa02e630dull) << std::hex << digest;
 }
 
 /// At an SMJ fraction below 1 the shards' cached id-ordered lists are
