@@ -129,6 +129,16 @@ def report_tail_latency(data, label):
                   f"informational): {line}")
 
 
+def report_hit_cpu(data, label):
+    """Prints BENCH_service.json's hit_cpu_us informationally: process CPU
+    per result-cache hit over every thread, the submitting one included.
+    A single run on a shared runner is too noisy to gate."""
+    value = data.get("hit_cpu_us")
+    if isinstance(value, (int, float)):
+        print(f"hot hits ({label}, informational): {value:.2f}us process "
+              "CPU per hit")
+
+
 def report_overload(data, label):
     """Prints BENCH_service.json's overload block informationally: the
     shed rate under 2x-capacity open-loop arrivals and the p99 of the
@@ -331,6 +341,7 @@ def main():
         return 1
     name, new_value = new_metric
     report_tail_latency(new_data, "current")
+    report_hit_cpu(new_data, "current")
     report_overload(new_data, "current")
     report_measured_io(new_data, "current")
     report_placement(new_data, "current")

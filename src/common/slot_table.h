@@ -31,6 +31,18 @@ inline std::vector<uint32_t>& SlotTable(std::size_t size) {
   return table;
 }
 
+/// The calling thread's dense PhraseId -> count table for the count-based
+/// scans (ExactMiner::Mine and ShardedEngine's count scatter leg), at
+/// least `size` entries. Same contract as SlotTable, with zero as the
+/// resting value: every user resets the counts it raised before it
+/// returns, so concurrent scans on one engine share no scratch and a
+/// pool worker pays the dictionary-sized allocation once, not per query.
+inline std::vector<uint32_t>& CountTable(std::size_t size) {
+  thread_local std::vector<uint32_t> table;
+  if (table.size() < size) table.resize(size, 0);
+  return table;
+}
+
 }  // namespace phrasemine
 
 #endif  // PHRASEMINE_COMMON_SLOT_TABLE_H_

@@ -531,11 +531,8 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
   MineResult result;
   switch (algorithm) {
     case Algorithm::kExact: {
-      std::scoped_lock miner_lock(sync_->exact_mu);
-      if (exact_ == nullptr) {
-        exact_ = std::make_unique<ExactMiner>(inverted_, forward_full_, dict_);
-      }
-      result = exact_->Mine(query, effective);
+      ExactMiner miner(inverted_, forward_full_, dict_);
+      result = miner.Mine(query, effective);
       break;
     }
     case Algorithm::kGm: {
@@ -827,7 +824,6 @@ void MiningEngine::Rebuild() {
   id_lists_.reset();
   disk_lists_.reset();
   postings_.reset();
-  exact_.reset();
   gm_.reset();
   simitsis_.reset();
   // Any open mapping describes the pre-rebuild structures; drop it (the

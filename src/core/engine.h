@@ -251,10 +251,11 @@ struct MiningEngineOptions {
 ///     EnsureWordLists() or Rebuild() call can be in flight (tests,
 ///     benchmarks, single-threaded preprocessing), or under
 ///     WithSharedStructures.
-///   * Algorithms whose miners keep per-call scratch (kExact, kGm,
-///     kSimitsis) serialize per algorithm; kNraDisk serializes on the
-///     shared SimulatedDisk. kNra and kSmj run fully in parallel once
-///     their lists exist -- these are the paper's serving algorithms.
+///   * Algorithms whose miners keep per-engine scratch (kGm, kSimitsis)
+///     serialize per algorithm; kNraDisk serializes on the shared
+///     SimulatedDisk. kExact counts in the calling thread's scratch, and
+///     kNra and kSmj run fully in parallel once their lists exist -- these
+///     are the serving algorithms.
 ///   * Structural mutations -- SetSmjFraction, SaveToDirectory,
 ///     LoadFromDirectory, moves -- require external exclusive access: no
 ///     concurrent Mine(), ApplyUpdate() or Rebuild() calls may be in
@@ -537,8 +538,7 @@ class MiningEngine {
     std::mutex disk_mu;
     /// Guards the memoized spill-policy placement (resident_memo_*).
     mutable std::mutex resident_mu;
-    /// Per-miner locks for the scratch-carrying exact baselines.
-    std::mutex exact_mu;
+    /// Per-miner locks for the scratch-carrying GM and Simitsis miners.
     std::mutex gm_mu;
     std::mutex simitsis_mu;
     /// EnsureWordLists lookups (word_list_stats); relaxed counters.
@@ -611,7 +611,6 @@ class MiningEngine {
   mutable uint64_t resident_memo_popularity_ = 0;
 
   // Persistent miners so their scratch arrays are reused across queries.
-  std::unique_ptr<ExactMiner> exact_;
   std::unique_ptr<GmMiner> gm_;
   std::unique_ptr<SimitsisMiner> simitsis_;
 

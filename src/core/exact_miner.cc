@@ -4,6 +4,7 @@
 
 #include "common/cancel.h"
 #include "common/check.h"
+#include "common/slot_table.h"
 #include "common/stopwatch.h"
 #include "testing/failpoint.h"
 
@@ -54,9 +55,7 @@ std::vector<MinedPhrase> TopKCollector::Take() {
 ExactMiner::ExactMiner(const InvertedIndex& inverted,
                        const ForwardIndex& forward,
                        const PhraseDictionary& dict)
-    : inverted_(inverted), forward_(forward), dict_(dict) {
-  counts_.assign(dict_.size(), 0);
-}
+    : inverted_(inverted), forward_(forward), dict_(dict) {}
 
 MineResult ExactMiner::Mine(const Query& query, const MineOptions& options) {
   StopWatch watch;
@@ -65,7 +64,8 @@ MineResult ExactMiner::Mine(const Query& query, const MineOptions& options) {
   const std::vector<DocId> subset = EvalSubCollection(query, inverted_);
   result.subcollection_size = subset.size();
 
-  touched_.clear();
+  std::vector<uint32_t>& counts = CountTable(dict_.size());
+  std::vector<PhraseId> touched;
   for (std::size_t i = 0; i < subset.size(); ++i) {
     if (i % kCancelDocStride == 0) {
       if (failpoint::Enabled()) (void)PM_FAILPOINT("miner.count.poll");
@@ -76,27 +76,27 @@ MineResult ExactMiner::Mine(const Query& query, const MineOptions& options) {
       }
     }
     for (PhraseId p : forward_.Phrases(subset[i], dict_)) {
-      if (counts_[p] == 0) touched_.push_back(p);
-      ++counts_[p];
+      if (counts[p] == 0) touched.push_back(p);
+      ++counts[p];
       ++result.entries_read;
     }
   }
   if (!result.status.ok()) {
     // Partial counts rank nothing; reset the scratch for the next query.
-    for (PhraseId p : touched_) counts_[p] = 0;
+    for (PhraseId p : touched) counts[p] = 0;
     result.compute_ms = watch.ElapsedMillis();
     return result;
   }
 
   TopKCollector collector(options.k);
-  for (PhraseId p : touched_) {
+  for (PhraseId p : touched) {
     const uint32_t df = dict_.df(p);
     PM_CHECK(df > 0);
     const double score =
-        EvaluateInterestingness(options.measure, counts_[p], df,
+        EvaluateInterestingness(options.measure, counts[p], df,
                                 subset.size(), forward_.num_docs());
     collector.Offer(p, score, score);
-    counts_[p] = 0;  // Reset scratch for the next query.
+    counts[p] = 0;  // Reset scratch for the next query.
   }
   result.phrases = collector.Take();
   result.compute_ms = watch.ElapsedMillis();

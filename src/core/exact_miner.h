@@ -20,7 +20,8 @@ namespace phrasemine {
 /// documents; on expiry it returns DeadlineExceeded with no phrases and
 /// its scratch reset.
 ///
-/// Not thread-safe: reuses internal scratch between queries.
+/// Thread-safe: the per-phrase counts live in the calling thread's
+/// CountTable (common/slot_table.h), so concurrent mines share no state.
 class ExactMiner : public Miner {
  public:
   ExactMiner(const InvertedIndex& inverted, const ForwardIndex& forward,
@@ -33,10 +34,6 @@ class ExactMiner : public Miner {
   const InvertedIndex& inverted_;
   const ForwardIndex& forward_;
   const PhraseDictionary& dict_;
-
-  // Scratch: per-phrase counts and the list of touched phrase ids.
-  std::vector<uint32_t> counts_;
-  std::vector<PhraseId> touched_;
 };
 
 /// Selects the top-k (score desc, id asc) from (phrase, score,

@@ -183,9 +183,9 @@ struct MineOptions {
   /// ranked output (it is excluded from result-cache keys).
   bool trace = false;
   /// Optional cooperative cancellation token (common/cancel.h), polled at
-  /// block granularity: NRA checks once per maintenance batch
-  /// (nra_batch_size entry reads), SMJ/kernels once per merge block,
-  /// Exact/GM once per kCancelDocStride sub-collection documents,
+  /// block granularity: NRA checks once every nra_batch_size entry reads
+  /// (counting every read, admitted or not), SMJ/kernels once per merge
+  /// block, Exact/GM once per kCancelDocStride sub-collection documents,
   /// Simitsis once per kCancelDocStride posting-list documents, sharded
   /// mines at every scatter/fill leg boundary and inside their scans,
   /// and the disk tier's charge points via the cheap flag-only form.

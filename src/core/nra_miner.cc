@@ -11,6 +11,7 @@
 #include "core/delta_index.h"
 #include "core/exact_miner.h"
 #include "obs/trace.h"
+#include "testing/failpoint.h"
 
 namespace phrasemine {
 
@@ -104,7 +105,14 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
   std::vector<uint32_t>& slot = SlotTable(dict_.size());
   bool checknew = true;
   bool done = false;
+  // Two cadences over the same b: maintenance (lines 10-13) counts the
+  // reads that touch a candidate, as Algorithm 1 does, while the deadline
+  // and disk-error poll counts every read -- once line 11 stops admitting
+  // candidates most reads touch none, and the poll must not stall with
+  // them.
   std::size_t reads_since_maintenance = 0;
+  std::size_t reads_since_poll = 0;
+  std::size_t admission_closed_at = 0;  // entries read when line 11 fired
   const std::size_t batch = std::max<std::size_t>(options.nra_batch_size, 1);
 
   const uint32_t full_mask = r >= 32 ? ~0u : ((1u << r) - 1);
@@ -169,7 +177,10 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
     if (kth_lower == kMinusInfinity) return;
 
     // Line 11: stop admitting unseen candidates once they cannot win.
-    if (kth_lower >= unseen_bound) checknew = false;
+    if (checknew && kth_lower >= unseen_bound) {
+      checknew = false;
+      admission_closed_at = result.entries_read;
+    }
 
     // Line 12: drop candidates whose ceiling is below the k-th floor,
     // compacting the rows in place and clearing the dropped slots.
@@ -220,6 +231,23 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
       }
       ++l.pos;
       ++result.entries_read;
+      if (++reads_since_poll >= batch) {
+        reads_since_poll = 0;
+        // One deadline/latch poll per nra_batch_size entry reads bounds
+        // both the cancellation latency and the steady-state overhead.
+        if (failpoint::Enabled()) (void)PM_FAILPOINT("miner.nra.poll");
+        if (CancelExpired(options.cancel)) {
+          result.status = Status::DeadlineExceeded(
+              "deadline expired during NRA traversal");
+          done = true;
+          continue;
+        }
+        if (disk_lists_ != nullptr && !disk_lists_->last_error().ok()) {
+          result.status = disk_lists_->last_error();
+          done = true;
+          continue;
+        }
+      }
 
       if (options.delta != nullptr) {
         prob = options.delta->AdjustedProb(l.term, phrase, prob);
@@ -244,25 +272,13 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
 
       if (++reads_since_maintenance >= batch) {
         reads_since_maintenance = 0;
-        // Cancellation and disk-error checks share the maintenance cadence:
-        // one deadline/latch poll per nra_batch_size entry reads bounds both
-        // the cancellation latency and the steady-state overhead.
-        if (CancelExpired(options.cancel)) {
-          result.status = Status::DeadlineExceeded(
-              "deadline expired during NRA traversal");
-          done = true;
-        } else if (disk_lists_ != nullptr && !disk_lists_->last_error().ok()) {
-          result.status = disk_lists_->last_error();
-          done = true;
-        } else {
-          maintenance();
-        }
+        maintenance();
       }
     }
     if (!read_any) break;
   }
-  // A device error latched in the final sub-batch (after the last cadence
-  // check) must still surface.
+  // A device error latched in the final sub-batch (after the last poll)
+  // must still surface.
   if (result.status.ok() && disk_lists_ != nullptr &&
       !disk_lists_->last_error().ok()) {
     result.status = disk_lists_->last_error();
@@ -343,9 +359,13 @@ MineResult NraMiner::Mine(const Query& query, const MineOptions& options) {
                static_cast<double>(result.peak_candidates));
     AddCounter(traversal, "lists_traversed_fraction",
                result.lists_traversed_fraction);
+    if (!checknew) {
+      AddCounter(traversal, "admission_closed_at",
+                 static_cast<double>(admission_closed_at));
+    }
     if (!result.status.ok()) {
       // The abort marker tests assert on: entries_at_cancel bounds how far
-      // past the deadline the traversal ran (< 2 maintenance batches).
+      // past the deadline the traversal ran (< 2 poll intervals).
       AddCounter(traversal, "cancelled", 1.0);
       AddCounter(traversal, "entries_at_cancel",
                  static_cast<double>(result.entries_read));

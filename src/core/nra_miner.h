@@ -15,7 +15,7 @@ namespace phrasemine {
 /// candidate phrase carries the sum of its seen per-list scores and a mask
 /// of the lists it was seen on; the last score read from each list is the
 /// "global bound" for entries not yet seen there. Every `nra_batch_size`
-/// reads the miner:
+/// reads that touch a candidate, the miner:
 ///   * stops admitting new candidates once the k-th best lower bound
 ///     dominates the best possible score of a fully-unseen phrase
 ///     (the checknew flag, line 11),
@@ -23,6 +23,9 @@ namespace phrasemine {
 ///     (line 12), and
 ///   * terminates early when the current top-k is provably final
 ///     (line 13).
+/// The deadline and disk-error poll runs every `nra_batch_size` reads of
+/// any kind, so it keeps its pace after line 11 stops admitting new
+/// candidates.
 /// Setting MineOptions::list_fraction < 1 caps traversal at that fraction
 /// of each list -- the paper's run-time partial lists.
 ///

@@ -1,6 +1,7 @@
 #include "service/cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 namespace phrasemine {
@@ -27,28 +28,41 @@ Query CanonicalizeQuery(const Query& query) {
   return canonical;
 }
 
-std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
+namespace {
+
+/// Appends `tag`, then `value` in std::to_chars' shortest round-trip form
+/// (distinct values never render alike), to a key under construction.
+template <typename T>
+void AppendField(std::string* key, char tag, T value) {
+  char buf[32];
+  buf[0] = tag;
+  const auto end = std::to_chars(buf + 1, buf + sizeof(buf), value).ptr;
+  key->append(buf, end);
+}
+
+}  // namespace
+
+std::string ResultCacheKey(const Query& canonical_query,
+                           std::optional<Algorithm> algorithm,
                            const MineOptions& options, double smj_fraction,
                            std::span<const uint64_t> shard_epochs) {
-  char buf[224];
-  std::snprintf(buf, sizeof(buf), "a%d|o%d|k%zu|f%.17g|s%.17g|b%zu|e%d|m%d|t:",
-                static_cast<int>(algorithm),
-                static_cast<int>(canonical_query.op), options.k,
-                options.list_fraction, smj_fraction, options.nra_batch_size,
-                static_cast<int>(options.or_order),
-                static_cast<int>(options.measure));
-  std::string key = buf;
-  for (TermId t : canonical_query.terms) {
-    std::snprintf(buf, sizeof(buf), "%u,", t);
-    key += buf;
-  }
+  // Built on every request, cache hits included, so it avoids printf.
+  std::string key;
+  key.reserve(64 + 8 * (canonical_query.terms.size() + shard_epochs.size()));
+  AppendField(&key, 'a',
+              algorithm.has_value() ? static_cast<int>(*algorithm) : -1);
+  AppendField(&key, 'o', static_cast<int>(canonical_query.op));
+  AppendField(&key, 'k', options.k);
+  AppendField(&key, 'f', options.list_fraction);
+  AppendField(&key, 's', smj_fraction);
+  AppendField(&key, 'b', options.nra_batch_size);
+  AppendField(&key, 'e', static_cast<int>(options.or_order));
+  AppendField(&key, 'm', static_cast<int>(options.measure));
+  key += "|t";
+  for (TermId t : canonical_query.terms) AppendField(&key, ',', t);
   if (!shard_epochs.empty()) {
-    key += "|v:";
-    for (uint64_t e : shard_epochs) {
-      std::snprintf(buf, sizeof(buf), "%llu,",
-                    static_cast<unsigned long long>(e));
-      key += buf;
-    }
+    key += "|v";
+    for (uint64_t e : shard_epochs) AppendField(&key, ',', e);
   }
   return key;
 }

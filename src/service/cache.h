@@ -44,20 +44,23 @@ std::string FormatCacheStats(const CacheStats& stats);
 /// execution order.
 Query CanonicalizeQuery(const Query& query);
 
-/// Cache key for a full MineResult: canonicalized query terms + operator +
-/// algorithm + every MineOptions knob that affects the ranked output.
+/// Cache key for a full MineResult, built from the request rather than
+/// its plan: canonicalized query terms + operator + the forced algorithm
+/// (nullopt for a planner-routed request, which keys apart from every
+/// forced one) + every MineOptions knob that affects the ranked output.
+/// A planned request can then be looked up before anything is planned.
 /// `smj_fraction` is the construction fraction of the id-ordered lists the
-/// mine will run on -- it determines kSmj output (MineOptions::list_fraction
-/// is ignored there) and must be part of the key; pass the default for
-/// algorithms that do not read it. `shard_epochs` is the composite epoch
-/// vector (ShardedEngine::epochs, one entry per shard) the result is valid
-/// for: stamping the full vector into the key makes an Ingest atomically
-/// unreachable-invalidate every stale entry without a global flush
-/// (old-epoch entries age out of the LRU), and two different vectors that
-/// share one epoch sum never alias. Queries carrying a caller-supplied
-/// delta overlay must not be cached (that overlay is external mutable
-/// state); PhraseService skips the cache for those.
-std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
+/// fleet serves (it determines kSmj output, and a planned request may run
+/// kSmj); PhraseService always passes it. `shard_epochs` is the composite
+/// epoch vector (ShardedEngine::epochs, one entry per shard) the result is
+/// valid for: stamping the full vector into the key makes an Ingest
+/// atomically unreachable-invalidate every stale entry without a global
+/// flush (old-epoch entries age out of the LRU), and two different vectors
+/// that share one epoch sum never alias. Queries carrying a
+/// caller-supplied delta overlay must not be cached (that overlay is
+/// external mutable state); PhraseService skips the cache for those.
+std::string ResultCacheKey(const Query& canonical_query,
+                           std::optional<Algorithm> algorithm,
                            const MineOptions& options,
                            double smj_fraction = -1.0,
                            std::span<const uint64_t> shard_epochs = {});
@@ -100,13 +103,17 @@ class ShardedLruCache {
   }
 
   /// Returns the value and marks the entry most-recently-used.
-  std::optional<Value> Get(const Key& key) {
+  /// `count_miss` false leaves a miss uncounted, for a look that a later,
+  /// counted Get of the same key follows (so a lookup counts once).
+  std::optional<Value> Get(const Key& key, bool count_miss = true) {
     Shard& s = shard(key);
     std::scoped_lock lock(s.mu);
     auto it = s.map.find(key);
     if (it == s.map.end()) {
-      ++s.misses;
-      if (misses_metric_ != nullptr) misses_metric_->Increment();
+      if (count_miss) {
+        ++s.misses;
+        if (misses_metric_ != nullptr) misses_metric_->Increment();
+      }
       return std::nullopt;
     }
     ++s.hits;

@@ -19,6 +19,10 @@ std::size_t ResultCharge(const std::string& key,
                       cached.result.shard_epochs.size() * sizeof(uint64_t) +
                       64;
   for (const std::string& text : cached.texts) bytes += text.size() + 16;
+  bytes += cached.plan.terms.size() * sizeof(TermPlanStats) +
+           cached.plan.estimated_costs.size() *
+               sizeof(std::pair<Algorithm, double>) +
+           cached.plan.reason.size();
   return bytes;
 }
 
@@ -27,6 +31,24 @@ std::size_t ResultCharge(const std::string& key,
 /// bucket rather than vanishing.
 uint64_t LatencyMicros(double latency_ms) {
   return static_cast<uint64_t>(std::max(1.0, latency_ms * 1000.0 + 0.5));
+}
+
+std::future<ServiceReply> ReadyFuture(ServiceReply reply) {
+  std::promise<ServiceReply> promise;
+  promise.set_value(std::move(reply));
+  return promise.get_future();
+}
+
+/// The request's cancel token: the caller's own, or one materialized from
+/// deadline_ms at arrival so queue wait counts against the deadline -- a
+/// DeadlineExceeded reply then reflects user-perceived time, not just
+/// execution time.
+std::shared_ptr<CancelToken> RequestToken(const ServiceRequest& request) {
+  if (request.cancel == nullptr && request.deadline_ms > 0.0) {
+    return std::make_shared<CancelToken>(
+        CancelToken::AfterMillis(request.deadline_ms));
+  }
+  return request.cancel;
 }
 
 /// Injects the service's registry into the pool options (the pool then
@@ -166,32 +188,54 @@ void PhraseService::InitMetrics() {
 
 PhraseService::~PhraseService() { Shutdown(); }
 
-void PhraseService::Shutdown() { pool_.Shutdown(); }
+void PhraseService::Shutdown() {
+  shut_down_.store(true, std::memory_order_release);
+  pool_.Shutdown();
+}
 
 std::future<ServiceReply> PhraseService::Submit(ServiceRequest request) {
-  auto state = std::make_shared<std::promise<ServiceReply>>();
-  std::future<ServiceReply> future = state->get_future();
-  // Materialize the deadline at submit time so queue wait counts against
-  // it -- a DeadlineExceeded reply then reflects user-perceived time, not
-  // just execution time.
-  if (request.cancel == nullptr && request.deadline_ms > 0.0) {
-    request.cancel = std::make_shared<CancelToken>(
-        CancelToken::AfterMillis(request.deadline_ms));
+  const StopWatch watch;
+  Prepared prepared = Prepare(request, RequestToken(request));
+  if (!prepared.status.ok()) {
+    return ReadyFuture(Refusal(prepared, prepared.status, watch));
   }
-  if (Status shed = AdmissionCheck(request); !shed.ok()) {
+  auto shed = [this](Status status) {
     shed_total_->Increment();
     ServiceReply reply;
-    reply.status = std::move(shed);
-    state->set_value(std::move(reply));
-    return future;
+    reply.status = std::move(status);
+    return ReadyFuture(std::move(reply));
+  };
+  std::size_t depth = 0;
+  if (Status full = AdmitDepth(&depth); !full.ok()) {
+    return shed(std::move(full));
   }
-  const bool accepted = pool_.Submit([this, state, request] {
-    try {
-      state->set_value(Execute(request));
-    } catch (...) {
-      state->set_exception(std::current_exception());
-    }
-  });
+  // A shut-down service stops answering, cache hits included.
+  if (shut_down_.load(std::memory_order_acquire)) {
+    return shed(Status::Unavailable("service is shut down"));
+  }
+  if (std::optional<ServiceReply> hit =
+          Probe(prepared, watch, /*last_look=*/false)) {
+    return ReadyFuture(std::move(*hit));
+  }
+  if (Status hopeless = AdmitCost(prepared, depth); !hopeless.ok()) {
+    return shed(std::move(hopeless));
+  }
+  auto state = std::make_shared<std::promise<ServiceReply>>();
+  std::future<ServiceReply> future = state->get_future();
+  const bool accepted =
+      pool_.Submit([this, state, prepared = std::move(prepared)] {
+        const StopWatch started;
+        try {
+          // A duplicate queued behind its twin hits the entry the twin
+          // filled after Submit looked.
+          std::optional<ServiceReply> hit =
+              Probe(prepared, started, /*last_look=*/true);
+          state->set_value(hit.has_value() ? std::move(*hit)
+                                           : Execute(prepared, started));
+        } catch (...) {
+          state->set_exception(std::current_exception());
+        }
+      });
   if (!accepted) {
     // The pool's contract: false means the task will NEVER run, so the
     // promise is ours to resolve -- with a typed error, not inline
@@ -220,34 +264,135 @@ std::vector<std::future<ServiceReply>> PhraseService::SubmitBatch(
 }
 
 ServiceReply PhraseService::MineSync(const ServiceRequest& request) {
-  // Same deadline materialization as Submit, minus admission control (the
-  // caller runs on their own thread; there is no queue to shed from).
-  if (request.cancel == nullptr && request.deadline_ms > 0.0) {
-    ServiceRequest timed = request;
-    timed.cancel = std::make_shared<CancelToken>(
-        CancelToken::AfterMillis(request.deadline_ms));
-    return Execute(timed);
+  // Submit's path minus admission control (the caller runs on their own
+  // thread; there is no queue to shed from).
+  const StopWatch watch;
+  const Prepared prepared = Prepare(request, RequestToken(request));
+  if (!prepared.status.ok()) {
+    return Refusal(prepared, prepared.status, watch);
   }
-  return Execute(request);
+  if (std::optional<ServiceReply> hit =
+          Probe(prepared, watch, /*last_look=*/true)) {
+    return std::move(*hit);
+  }
+  return Execute(prepared, watch);
 }
 
-Status PhraseService::AdmissionCheck(const ServiceRequest& request) {
+PhraseService::Prepared PhraseService::Prepare(
+    const ServiceRequest& request, std::shared_ptr<CancelToken> token) const {
+  Prepared prepared;
+  // The request's span tree hangs off the reply, never the cached result;
+  // every layer below holds a TraceSpan* that is null when tracing is off
+  // (the null-safe helpers then do nothing -- no allocations).
+  if (request.options.trace) {
+    prepared.trace = std::make_shared<TraceSpan>();
+    prepared.trace->name = "query";
+  }
+  prepared.canonical = CanonicalizeQuery(request.query);
+  prepared.status = ValidateRequest(prepared.canonical, request.options);
+  if (!prepared.status.ok()) return prepared;
+  prepared.plan_span = AddSpan(prepared.trace.get(), "plan");
+  prepared.algorithm = request.algorithm;
+  // The fleet applies its engines' own overlays and refuses an external
+  // one: drop a caller-supplied overlay and say so rather than aborting.
+  prepared.options = request.options;
+  prepared.caller_delta = prepared.options.delta != nullptr;
+  prepared.options.delta = nullptr;
+  // One shared token cancels every shard leg: the first leg observing the
+  // deadline latches it, the siblings see the flag. The cache key
+  // serializer ignores the pointer, so deadline and no-deadline spellings
+  // of a query share cache entries.
+  prepared.token = std::move(token);
+  prepared.options.cancel = prepared.token.get();
+  if (options_.enable_result_cache && !prepared.caller_delta) {
+    // The composite epoch vector keys the entry: an ingest to any shard
+    // strands that shard's stale entries by unreachability. A mine racing
+    // onto a newer epoch only moves the cached reply forward in
+    // freshness. kSmj output depends on the construction fraction of the
+    // id-ordered lists, which the fleet reports; a planned request may
+    // run kSmj, so the fraction always keys.
+    prepared.key =
+        ResultCacheKey(prepared.canonical, prepared.algorithm,
+                       prepared.options, fleet_->smj_fraction(),
+                       fleet_->epochs());
+  }
+  return prepared;
+}
+
+ServiceReply PhraseService::Refusal(const Prepared& prepared, Status status,
+                                    const StopWatch& watch) {
+  ServiceReply reply;
+  reply.status = std::move(status);
+  reply.trace = prepared.trace;
+  reply.latency_ms = watch.ElapsedMillis();
+  if (reply.trace != nullptr) reply.trace->wall_ms = reply.latency_ms;
+  return reply;
+}
+
+std::optional<ServiceReply> PhraseService::Probe(const Prepared& prepared,
+                                                 const StopWatch& watch,
+                                                 bool last_look) {
+  if (prepared.key.empty() || CancelExpired(prepared.options.cancel)) {
+    return std::nullopt;
+  }
+  TraceSpan* troot = prepared.trace.get();
+  std::optional<std::shared_ptr<const CachedResult>> hit;
+  if (troot == nullptr) {
+    hit = result_cache_.Get(prepared.key, /*count_miss=*/last_look);
+  } else {
+    const StopWatch lookup;
+    hit = result_cache_.Get(prepared.key, /*count_miss=*/last_look);
+    // One cache_lookup child per request: the look that decides it.
+    if (hit.has_value() || last_look) {
+      TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
+      cache_span->wall_ms = lookup.ElapsedMillis();
+      AddCounter(cache_span, "hit", hit.has_value() ? 1.0 : 0.0);
+    }
+  }
+  if (!hit) return std::nullopt;
+  const CachedResult& cached = **hit;
+  ServiceReply reply;
+  reply.result = cached.result;
+  reply.phrase_texts = cached.texts;
+  reply.plan = cached.plan;
+  reply.epoch = reply.result.epoch;
+  reply.result_cache_hit = true;
+  reply.trace = prepared.trace;
+  // No planning runs: the plan span carries the decision that mined the
+  // cached result.
+  SetDetail(prepared.plan_span, reply.plan.ToString());
+  CountTermQueries(prepared.canonical, /*post_refresh=*/true);
+  reply.latency_ms = watch.ElapsedMillis();
+  if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+  RecordQuery(reply.plan.algorithm, prepared.algorithm.has_value(),
+              /*executed=*/false, reply.latency_ms);
+  MaybeLogSlowQuery(prepared.canonical, reply.plan.algorithm, reply);
+  return reply;
+}
+
+Status PhraseService::AdmitDepth(std::size_t* depth) {
   const AdmissionOptions& adm = options_.admission;
   if (adm.max_queue_depth == 0) return Status::OK();
-  const std::size_t depth = pool_.queue_depth();
+  *depth = pool_.queue_depth();
   // Sampled at every gate decision; the gauge's Max() is the high-water
   // depth the shed decisions actually saw.
-  admission_depth_->Set(static_cast<int64_t>(depth));
-  if (depth >= adm.max_queue_depth) {
+  admission_depth_->Set(static_cast<int64_t>(*depth));
+  if (*depth >= adm.max_queue_depth) {
     return Status::ResourceExhausted(
-        "admission queue full (depth " + std::to_string(depth) +
+        "admission queue full (depth " + std::to_string(*depth) +
         " >= bound " + std::to_string(adm.max_queue_depth) + ")");
   }
-  if (!adm.cost_gate || request.cancel == nullptr ||
-      !request.cancel->has_deadline()) {
+  return Status::OK();
+}
+
+Status PhraseService::AdmitCost(const Prepared& prepared, std::size_t depth) {
+  const AdmissionOptions& adm = options_.admission;
+  const CancelToken* token = prepared.token.get();
+  if (adm.max_queue_depth == 0 || !adm.cost_gate || token == nullptr ||
+      !token->has_deadline()) {
     return Status::OK();
   }
-  const double remaining = request.cancel->remaining_ms();
+  const double remaining = token->remaining_ms();
   if (remaining <= 0.0) {
     return Status::ResourceExhausted("deadline already expired at admission");
   }
@@ -256,14 +401,13 @@ Status PhraseService::AdmissionCheck(const ServiceRequest& request) {
       1000.0;
   if (ewma_ms <= 0.0) return Status::OK();  // no latency signal yet: admit
   double exec_ms = ewma_ms;
-  if (adm.cost_to_ms > 0.0 && !request.algorithm.has_value()) {
+  if (adm.cost_to_ms > 0.0 && !prepared.algorithm.has_value()) {
     // One extra (cheap, list-build-free) planning pass converts the cost
     // model's entry estimate into milliseconds; the measured EWMA stays
     // the floor so a mistuned cost_to_ms can only shed earlier, not admit
     // queries the observed latency already rules out.
-    const Query canonical = CanonicalizeQuery(request.query);
     const PlanDecision decision = CostPlanner::PlanAcrossShards(
-        fleet_->GatherPlannerInputs(canonical, request.options),
+        fleet_->GatherPlannerInputs(prepared.canonical, prepared.options),
         options_.planner);
     for (const auto& [algorithm, cost] : decision.estimated_costs) {
       if (algorithm == decision.algorithm) {
@@ -296,106 +440,46 @@ Status PhraseService::ValidateRequest(const Query& canonical,
   return Status::OK();
 }
 
-ServiceReply PhraseService::Execute(const ServiceRequest& request) {
-  StopWatch watch;
-  ServiceReply reply;
-  // The request's span tree hangs off the reply, never the cached result;
-  // every layer below holds a TraceSpan* that is null when tracing is off
-  // (the null-safe helpers then do nothing -- no allocations).
-  if (request.options.trace) {
-    reply.trace = std::make_shared<TraceSpan>();
-    reply.trace->name = "query";
-  }
-  TraceSpan* troot = reply.trace.get();
-  const Query canonical = CanonicalizeQuery(request.query);
-  if (Status invalid = ValidateRequest(canonical, request.options);
-      !invalid.ok()) {
-    reply.status = std::move(invalid);
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
-  }
-  // The fleet applies its engines' own overlays and refuses an external
-  // one: drop a caller-supplied overlay and say so rather than aborting.
-  MineOptions effective = request.options;
-  const bool caller_delta = effective.delta != nullptr;
-  effective.delta = nullptr;
-  // One shared token cancels every shard leg: the first leg observing the
-  // deadline latches it, the siblings see the flag. The cache key
-  // serializer ignores the pointer, so deadline and no-deadline spellings
-  // of a query share cache entries.
-  if (request.cancel != nullptr) effective.cancel = request.cancel.get();
-  if (CancelExpired(effective.cancel)) {
+ServiceReply PhraseService::Execute(const Prepared& prepared,
+                                    const StopWatch& watch) {
+  if (CancelExpired(prepared.options.cancel)) {
     deadline_exceeded_total_->Increment();
-    reply.status =
-        Status::DeadlineExceeded("deadline expired before execution");
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
+    return Refusal(prepared,
+                   Status::DeadlineExceeded(
+                       "deadline expired before execution"),
+                   watch);
   }
-  CountTermQueries(canonical);
+  CountTermQueries(prepared.canonical, /*post_refresh=*/false);
 
-  // The composite epoch vector, fetched before planning, keys the result
-  // cache: an ingest to any shard strands that shard's stale entries by
-  // unreachability. A mine racing onto a newer epoch only moves the reply
-  // forward in freshness.
-  const std::vector<uint64_t> epochs = fleet_->epochs();
-
-  Algorithm algorithm;
+  ServiceReply reply;
+  reply.trace = prepared.trace;
+  TraceSpan* troot = reply.trace.get();
   {
-    TraceSpan* plan_span = AddSpan(troot, "plan");
-    SpanTimer plan_timer(plan_span);
-    if (request.algorithm.has_value()) {
-      algorithm = *request.algorithm;
-      reply.plan.algorithm = algorithm;
-      reply.plan.op = canonical.op;
-      reply.plan.k = effective.k;
+    SpanTimer plan_timer(prepared.plan_span);
+    if (prepared.algorithm.has_value()) {
+      reply.plan.algorithm = *prepared.algorithm;
+      reply.plan.op = prepared.canonical.op;
+      reply.plan.k = prepared.options.k;
       reply.plan.reason = "forced by caller";
     } else {
       // Per-shard inputs are gathered by the fleet under its fleet lock --
       // the service must never cache per-shard planners, which would
       // dangle across a dictionary refresh.
       reply.plan = CostPlanner::PlanAcrossShards(
-          fleet_->GatherPlannerInputs(canonical, effective),
+          fleet_->GatherPlannerInputs(prepared.canonical, prepared.options),
           options_.planner);
-      algorithm = reply.plan.algorithm;
     }
-    if (caller_delta) {
+    if (prepared.caller_delta) {
       reply.plan.reason +=
           " (caller delta ignored: the engines apply their own overlays)";
     }
     plan_timer.Stop();
-    SetDetail(plan_span, reply.plan.ToString());
+    SetDetail(prepared.plan_span, reply.plan.ToString());
   }
+  const Algorithm algorithm = reply.plan.algorithm;
 
-  const bool cacheable = options_.enable_result_cache && !caller_delta;
-  std::string key;
-  if (cacheable) {
-    // kSmj output depends on the construction fraction of the id-ordered
-    // lists it runs on, which the fleet reports.
-    key = ResultCacheKey(
-        canonical, algorithm, effective,
-        algorithm == Algorithm::kSmj ? fleet_->smj_fraction() : -1.0, epochs);
-    TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
-    SpanTimer cache_timer(cache_span);
-    auto hit = result_cache_.Get(key);
-    cache_timer.Stop();
-    AddCounter(cache_span, "hit", hit.has_value() ? 1.0 : 0.0);
-    if (hit) {
-      reply.result = (*hit)->result;
-      reply.phrase_texts = (*hit)->texts;
-      reply.epoch = reply.result.epoch;
-      reply.result_cache_hit = true;
-      reply.latency_ms = watch.ElapsedMillis();
-      if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-      RecordQuery(algorithm, request.algorithm.has_value(),
-                  /*executed=*/false, reply.latency_ms);
-      MaybeLogSlowQuery(canonical, algorithm, reply);
-      return reply;
-    }
-  }
-
-  ShardedMineResult mined = fleet_->Mine(canonical, algorithm, effective);
+  ShardedMineResult mined =
+      fleet_->Mine(prepared.canonical, algorithm, prepared.options);
   reply.result = std::move(mined.result);
   reply.phrase_texts = std::move(mined.texts);
   // A non-OK mine (deadline fired mid-merge, disk tier latched an error)
@@ -426,16 +510,17 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     troot->children.push_back(std::move(reply.result.trace));
   }
   reply.result.trace.reset();
-  if (cacheable && reply.status.ok()) {
+  if (!prepared.key.empty() && reply.status.ok()) {
     auto shared = std::make_shared<const CachedResult>(
-        CachedResult{reply.result, reply.phrase_texts});
-    result_cache_.Put(key, shared, ResultCharge(key, *shared));
+        CachedResult{reply.result, reply.phrase_texts, reply.plan});
+    result_cache_.Put(prepared.key, shared,
+                      ResultCharge(prepared.key, *shared));
   }
   reply.latency_ms = watch.ElapsedMillis();
   if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-  RecordQuery(algorithm, request.algorithm.has_value(), /*executed=*/true,
+  RecordQuery(algorithm, prepared.algorithm.has_value(), /*executed=*/true,
               reply.latency_ms, reply.result.disk_io);
-  MaybeLogSlowQuery(canonical, algorithm, reply);
+  MaybeLogSlowQuery(prepared.canonical, algorithm, reply);
   return reply;
 }
 
@@ -511,14 +596,27 @@ void PhraseService::MaybeScheduleRebuild(std::vector<uint8_t> shard_flags) {
   if (!pool_.Submit(rebuild)) rebuild();
 }
 
-void PhraseService::CountTermQueries(const Query& canonical) {
+void PhraseService::CountTermQueries(const Query& canonical,
+                                     bool post_refresh) {
+  // Every term keeps one stable registry counter (GetCounter is
+  // find-or-create, under the labels-in-name convention). Counting is a
+  // shared-lock lookup plus relaxed atomic adds; only a term's first
+  // query takes the lock exclusively, to create its counter.
+  std::vector<TermId> unseen;
   {
-    // The handle map is tiny (distinct queried terms) and the critical
-    // section is pointer lookups plus relaxed atomic adds; GetCounter is
-    // find-or-create, so every term keeps one stable registry counter
-    // under the labels-in-name convention.
-    std::scoped_lock lock(term_counts_mu_);
+    std::shared_lock lock(term_counts_mu_);
     for (TermId t : canonical.terms) {
+      const auto it = term_counters_.find(t);
+      if (it == term_counters_.end()) {
+        unseen.push_back(t);
+      } else {
+        it->second->Increment();
+      }
+    }
+  }
+  if (!unseen.empty()) {
+    std::scoped_lock lock(term_counts_mu_);
+    for (TermId t : unseen) {
       Counter*& counter = term_counters_[t];
       if (counter == nullptr) {
         counter = registry_.GetCounter("service_term_queries_total{term=\"" +
@@ -535,7 +633,11 @@ void PhraseService::CountTermQueries(const Query& canonical) {
     // and both refresh -- the second install sees an empty window and
     // keeps the placement, so the cadence never double-moves the tier.
     queries_since_refresh_.store(0, std::memory_order_relaxed);
-    RefreshPlacement();
+    // A pool that cannot take the task (queue full, shut down) gets it
+    // run here, so the refresh is not lost.
+    if (!post_refresh || !pool_.TrySubmit([this] { RefreshPlacement(); })) {
+      RefreshPlacement();
+    }
   }
 }
 

@@ -9,12 +9,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "core/engine.h"
 #include "core/miner.h"
 #include "core/query.h"
@@ -54,8 +56,9 @@ struct AdmissionOptions {
 struct PhraseServiceOptions {
   ThreadPoolOptions pool;
   PlannerOptions planner;
-  /// Sharded LRU cache of full MineResults keyed by canonicalized query +
-  /// algorithm + mining options.
+  /// Sharded LRU cache of full MineResults keyed by the request:
+  /// canonicalized query + forced algorithm (or "planned") + mining
+  /// options + the fleet's SMJ fraction and epoch vector (ResultCacheKey).
   std::size_t result_cache_shards = 8;
   std::size_t result_cache_bytes = 8u << 20;
   bool enable_result_cache = true;
@@ -129,7 +132,8 @@ struct ServiceReply {
   /// global PhraseId either way -- every shard shares one phrase set.
   std::vector<std::string> phrase_texts;
   /// How the algorithm was chosen (reason == "forced by caller" when the
-  /// request pinned one).
+  /// request pinned one). A result-cache hit carries the plan stored with
+  /// the cached result: the decision that mined it.
   PlanDecision plan;
   /// Engine epoch the result is valid for (mirrors result.epoch: the sum
   /// of shard epochs, with the full composite vector in
@@ -138,9 +142,12 @@ struct ServiceReply {
   /// entries are unreachable by key.
   uint64_t epoch = 0;
   bool result_cache_hit = false;
-  /// Execution latency measured from the moment a worker (or MineSync
-  /// caller) starts the query; time spent queued in the thread pool is
-  /// NOT included, so under saturation user-perceived latency is higher.
+  /// Execution latency. A result-cache hit served on the submitting
+  /// thread runs from the Submit (or MineSync) call to the ready reply.
+  /// A request that reached the pool (a miss, or a duplicate served on
+  /// the worker from its twin's entry) is measured from the moment a
+  /// worker starts it: time spent queued in the thread pool is NOT
+  /// included, so under saturation user-perceived latency is higher.
   double latency_ms = 0.0;
   /// Root of the request's span tree (plan -> cache -> mine phases), set
   /// only when MineOptions::trace was on; null otherwise. Render with
@@ -209,6 +216,18 @@ struct ServiceStats {
 /// and execution, so every spelling of a term set hits the same cache
 /// entry and produces byte-identical results.
 ///
+/// Request path: Submit canonicalizes, validates, runs the admission depth
+/// check and probes the result cache on the caller's thread. A hit is
+/// answered there -- a ready future, with no plan and no pool hand-off --
+/// and replies with the plan stored beside the cached result. Only a miss
+/// (after the admission cost gate) goes to the pool, carrying its
+/// canonical query and cache key; the worker probes once more before it
+/// plans, so a duplicate queued behind its twin hits the twin's entry.
+/// MineSync runs the same probe. The cache
+/// key holds the request (the forced algorithm, or "planned"), not the
+/// plan, so a planned request keeps the routing of the miss that filled
+/// its entry until the epoch vector moves (docs/architecture.md).
+///
 /// Live updates: Ingest/IngestBatch apply document churn to the engines
 /// synchronously (the delta overlay and new epoch are visible before the
 /// call returns), so no query submitted afterwards can be served from a
@@ -240,10 +259,12 @@ struct ServiceStats {
 class PhraseService {
  public:
   /// One cached service result: the MineResult plus the phrase texts the
-  /// fleet returned with it.
+  /// fleet returned with it, and the plan that mined it (a hit replies
+  /// with that plan; it does not plan again).
   struct CachedResult {
     MineResult result;
     std::vector<std::string> texts;
+    PlanDecision plan;
   };
 
   /// Serves a single engine through an adopted one-shard fleet
@@ -265,13 +286,16 @@ class PhraseService {
   PhraseService& operator=(const PhraseService&) = delete;
 
   /// Enqueues one query; blocks only when the submission queue is full.
+  /// A result-cache hit resolves on the calling thread and returns a
+  /// ready future, as do invalid requests and shed ones.
   std::future<ServiceReply> Submit(ServiceRequest request);
 
   /// Enqueues a batch; futures are in request order.
   std::vector<std::future<ServiceReply>> SubmitBatch(
       std::vector<ServiceRequest> requests);
 
-  /// Runs one query synchronously on the calling thread (no queueing).
+  /// Runs one query synchronously on the calling thread (no queueing):
+  /// the same cache probe as Submit, then on a miss the mine itself.
   ServiceReply MineSync(const ServiceRequest& request);
 
   // --- Live updates ----------------------------------------------------------
@@ -372,11 +396,56 @@ class PhraseService {
   PhraseService(ShardedEngine* fleet, std::unique_ptr<ShardedEngine> adopted,
                 PhraseServiceOptions options);
 
-  ServiceReply Execute(const ServiceRequest& request);
-  /// Admission gate consulted by Submit when admission control is enabled
-  /// (max_queue_depth > 0): non-OK (ResourceExhausted) means shed -- the
-  /// caller resolves the future with it without ever queueing the task.
-  Status AdmissionCheck(const ServiceRequest& request);
+  /// A request after the work Submit and MineSync do on the caller's
+  /// thread: the canonical query, the options the fleet mines with and the
+  /// result-cache key. A miss carries it to the pool, so the worker builds
+  /// none of it again.
+  struct Prepared {
+    /// InvalidArgument for a malformed request (see ValidateRequest).
+    Status status;
+    Query canonical;
+    /// The request's options minus any caller delta (the fleet applies
+    /// its engines' own overlays), with `cancel` pointing at `token`.
+    MineOptions options;
+    std::optional<Algorithm> algorithm;
+    std::shared_ptr<CancelToken> token;
+    bool caller_delta = false;
+    /// Empty when the request bypasses the cache (cache off, caller
+    /// delta, invalid request).
+    std::string key;
+    /// Request span root and its plan child; null when tracing is off.
+    std::shared_ptr<TraceSpan> trace;
+    TraceSpan* plan_span = nullptr;
+  };
+
+  /// Canonicalizes, validates and keys `request`; `token` is its
+  /// materialized cancel token (null without a deadline or caller token).
+  Prepared Prepare(const ServiceRequest& request,
+                   std::shared_ptr<CancelToken> token) const;
+  /// The one result-cache probe, shared by Submit, the pool's miss task
+  /// and MineSync: the served reply on a hit (stored plan, no planning),
+  /// nullopt on a miss. A request whose deadline already expired is never
+  /// served from the cache; it takes the miss path, which refuses it.
+  /// `watch` started when the request arrived (or reached its worker).
+  /// Submit's look is not `last_look`: its miss is neither counted nor
+  /// traced, because the worker looks again before it mines and a
+  /// duplicate queued behind its twin then hits the twin's entry.
+  std::optional<ServiceReply> Probe(const Prepared& prepared,
+                                    const StopWatch& watch, bool last_look);
+  /// The miss path: plan (unless forced), mine, fill the cache.
+  ServiceReply Execute(const Prepared& prepared, const StopWatch& watch);
+  /// A reply that carries only `status` (plus the trace root and latency).
+  static ServiceReply Refusal(const Prepared& prepared, Status status,
+                              const StopWatch& watch);
+  /// Admission depth bound, consulted by Submit before the cache probe
+  /// when admission control is enabled (max_queue_depth > 0): non-OK
+  /// (ResourceExhausted) means shed -- the caller resolves the future with
+  /// it without ever queueing the task. `*depth` is the queue depth seen.
+  Status AdmitDepth(std::size_t* depth);
+  /// Admission cost gate for a miss (it may run a plan, so a hit never
+  /// pays for it): sheds a deadline the projected wait plus execution
+  /// cannot meet. `depth` is what AdmitDepth saw.
+  Status AdmitCost(const Prepared& prepared, std::size_t depth);
   /// Shared request validation: InvalidArgument for a term-less canonical
   /// query or k == 0. Unknown terms are NOT an error -- they mine empty
   /// lists and return an empty ranking with status OK, matching the
@@ -392,8 +461,10 @@ class PhraseService {
                    double latency_ms, const DiskIoStats& disk_io = {});
   /// Bumps service_term_queries_total{term=...} for every canonical
   /// query term (cache hits included -- the signal is demand, not
-  /// compute) and fires RefreshPlacement() when the cadence elapses.
-  void CountTermQueries(const Query& canonical);
+  /// compute) and fires RefreshPlacement() when the cadence elapses: on
+  /// the pool when `post_refresh` (the caller-thread hit path, whose
+  /// caller never pays for a refresh), inline otherwise.
+  void CountTermQueries(const Query& canonical, bool post_refresh);
   /// Resolves the service's registry metric handles.
   void InitMetrics();
   /// Appends to the slow-query log when the reply crossed the threshold.
@@ -448,7 +519,9 @@ class PhraseService {
   /// without parsing metric names) and the per-term counts already
   /// installed by the previous refresh -- the delta between a counter
   /// and its installed floor is the refresh window's observed demand.
-  mutable std::mutex term_counts_mu_;
+  /// Counting takes the lock shared (the counters are atomic); creating
+  /// a counter and RefreshPlacement take it exclusively.
+  mutable std::shared_mutex term_counts_mu_;
   std::unordered_map<TermId, Counter*> term_counters_;
   std::unordered_map<TermId, uint64_t> installed_counts_;
   /// Queries since the cadence last fired (placement_refresh_interval).
@@ -475,6 +548,11 @@ class PhraseService {
   mutable std::mutex subscriptions_mu_;
   std::unique_ptr<SubscriptionManager> subscriptions_;
   std::atomic<SubscriptionManager*> subscriptions_ptr_{nullptr};
+
+  /// Set by Shutdown() before the pool stops: Submit then answers
+  /// Unavailable without probing the cache (an atomic, so the hit path
+  /// takes no pool lock to read it).
+  std::atomic<bool> shut_down_{false};
 
   ThreadPool pool_;  // Last member: workers must die before the cache.
 };

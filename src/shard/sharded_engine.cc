@@ -181,14 +181,9 @@ bool CountScatter(MiningEngine& engine, const Query& query,
         EvalSubCollection(query, engine.inverted());
     out->subcollection = subset.size();
     out->num_docs = engine.forward().num_docs();
-    // Dense scratch counters, the ExactMiner pattern; thread-local so a
-    // pool worker pays the dictionary-sized allocation once, not per
-    // query. Touched entries are reset on exit, keeping the array
-    // all-zero between uses (grow-only across engines).
-    thread_local std::vector<uint32_t> counts;
-    if (counts.size() < engine.dict().size()) {
-      counts.resize(engine.dict().size(), 0);
-    }
+    // Dense scratch counters shared with ExactMiner; touched entries are
+    // reset on exit, keeping the table all-zero between uses.
+    std::vector<uint32_t>& counts = CountTable(engine.dict().size());
     // forward() is the kFull index, so a stored list is already the
     // document's complete phrase set (Phrases() would only copy it).
     const ForwardIndex& forward = engine.forward();

@@ -144,6 +144,81 @@ TEST(DeadlineTest, UnfiredDeadlineIsBitwiseInvisible) {
   }
 }
 
+TEST(DeadlineTest, NraPollKeepsItsCadenceAfterAdmissionStops) {
+  // Once line 11 of Algorithm 1 stops admitting new candidates, most
+  // reads touch no candidate and maintenance runs rarely. The deadline
+  // poll counts every read, so it still runs once per nra_batch_size
+  // reads, and a deadline that fires after admission closed still stops
+  // the traversal within two batches.
+  MiningEngine engine = MakeSmallEngine();
+  constexpr std::size_t kBatch = 16;
+  MineOptions options;
+  options.trace = true;
+  options.nra_batch_size = kBatch;
+
+  // The query among pairs of the highest-df terms that reads longest
+  // after admission closed.
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < engine.inverted().num_terms(); ++t) {
+    if (engine.inverted().df(t) > 0) terms.push_back(t);
+  }
+  std::sort(terms.begin(), terms.end(), [&](TermId a, TermId b) {
+    return engine.inverted().df(a) > engine.inverted().df(b);
+  });
+  Query query;
+  query.op = QueryOperator::kOr;
+  double closed_at = 0.0;
+  std::size_t entries_read = 0;
+  for (std::size_t i = 0; i < 8 && i < terms.size(); ++i) {
+    for (std::size_t j = i + 1; j < 8 && j < terms.size(); ++j) {
+      Query pair;
+      pair.op = QueryOperator::kOr;
+      pair.terms = {std::min(terms[i], terms[j]), std::max(terms[i], terms[j])};
+      const MineResult r = engine.Mine(pair, Algorithm::kNra, options);
+      double closed = 0.0;
+      if (!FindCounter(r.trace.get(), "admission_closed_at", &closed)) continue;
+      if (static_cast<double>(r.entries_read) - closed >
+          static_cast<double>(entries_read) - closed_at) {
+        query = pair;
+        closed_at = closed;
+        entries_read = r.entries_read;
+      }
+    }
+  }
+  // The case under test: the traversal runs on for many batches after
+  // admission closed.
+  ASSERT_GT(static_cast<double>(entries_read), closed_at + 8.0 * kBatch);
+
+  // A pass-through arming counts the polls of an untimed mine.
+  failpoint::ResetHitCounts();
+  failpoint::Arm("miner.nra.poll", {});
+  const MineResult full = engine.Mine(query, Algorithm::kNra, options);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(full.status.ok());
+  ASSERT_EQ(full.entries_read, entries_read);
+  const uint64_t polls = failpoint::HitCount("miner.nra.poll");
+  EXPECT_EQ(polls, full.entries_read / kBatch);
+
+  // Poll number `skip` (after admission closed) outlives the deadline.
+  const uint64_t skip = full.entries_read / kBatch - 2;
+  ASSERT_GT(static_cast<double>(skip * kBatch), closed_at);
+  failpoint::Arm("miner.nra.poll",
+                 {.delay_ms = 100.0, .max_hits = 1, .skip_first = skip});
+  const CancelToken deadline = CancelToken::AfterMillis(50.0);
+  MineOptions timed = options;
+  timed.cancel = &deadline;
+  const MineResult aborted = engine.Mine(query, Algorithm::kNra, timed);
+  failpoint::DisarmAll();
+  EXPECT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded);
+  double at_cancel = -1.0;
+  ASSERT_TRUE(
+      FindCounter(aborted.trace.get(), "entries_at_cancel", &at_cancel));
+  // The deadline fired during the read that ended batch skip + 1.
+  const double fired_at = static_cast<double>((skip + 1) * kBatch);
+  EXPECT_GE(at_cancel, fired_at);
+  EXPECT_LT(at_cancel, fired_at + 2.0 * kBatch);
+}
+
 TEST(DeadlineTest, CountMinersPollTheToken) {
   // The monolithic count miners poll every kCancelDocStride
   // sub-collection documents: a deadline that fires mid-scan stops the

@@ -1,7 +1,11 @@
 // MiningEngine facade behaviour: lazy structures, word-list lifecycle,
 // snapshot persistence, and end-to-end agreement after a save/load cycle.
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
@@ -195,6 +199,72 @@ TEST(EngineTest, NraDiskReportsDiskCost) {
   // In-memory runs report no disk cost.
   MineResult mem = engine.Mine(queries.value(), Algorithm::kNra);
   EXPECT_DOUBLE_EQ(mem.disk_ms, 0.0);
+}
+
+TEST(EngineTest, ConcurrentExactMinesMatchSerialBitwise) {
+  // Exact mines on one engine run in parallel, each counting in its own
+  // thread's scratch: every concurrent answer equals the serial one bit
+  // for bit, whatever else the other threads are counting.
+  MiningEngine engine = testing::MakeSmallEngine(400);
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < engine.inverted().num_terms(); ++t) {
+    if (engine.inverted().df(t) > 0) terms.push_back(t);
+  }
+  std::sort(terms.begin(), terms.end(), [&](TermId a, TermId b) {
+    return engine.inverted().df(a) > engine.inverted().df(b);
+  });
+  ASSERT_GE(terms.size(), 6u);
+  std::vector<Query> queries;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Query q;
+    q.op = i % 2 == 0 ? QueryOperator::kOr : QueryOperator::kAnd;
+    q.terms = {std::min(terms[i], terms[i + 1]),
+               std::max(terms[i], terms[i + 1])};
+    queries.push_back(q);
+  }
+  // Rank every counted phrase, so one miscounted phrase shows.
+  const MineOptions all{.k = 1'000'000};
+  struct Answer {
+    std::vector<std::tuple<PhraseId, uint64_t, uint64_t>> ranked;
+    std::size_t entries_read = 0;
+    bool operator==(const Answer&) const = default;
+  };
+  auto answer = [&](const Query& q) {
+    const MineResult r = engine.Mine(q, Algorithm::kExact, all);
+    Answer a;
+    a.entries_read = r.entries_read;
+    for (const MinedPhrase& p : r.phrases) {
+      a.ranked.emplace_back(p.phrase, std::bit_cast<uint64_t>(p.score),
+                            std::bit_cast<uint64_t>(p.interestingness));
+    }
+    return a;
+  };
+  std::vector<Answer> serial;
+  for (const Query& q : queries) {
+    serial.push_back(answer(q));
+    ASSERT_FALSE(serial.back().ranked.empty());
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 5;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          // Threads walk the queries from different offsets, so
+          // different queries count side by side.
+          const std::size_t q = (i + t) % queries.size();
+          if (!(answer(queries[q]) == serial[q])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

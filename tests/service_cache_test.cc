@@ -168,5 +168,20 @@ TEST(ResultCacheKeyTest, DistinctParametersGetDistinctKeys) {
             ResultCacheKey(c, Algorithm::kSmj, {}, 0.5));
 }
 
+TEST(ResultCacheKeyTest, PlannedRequestsKeyApartFromForcedOnes) {
+  Query q;
+  q.terms = {3, 7};
+  q.op = QueryOperator::kAnd;
+  const Query c = CanonicalizeQuery(q);
+  const std::string planned = ResultCacheKey(c, std::nullopt, {});
+  for (int a = 0; a < 6; ++a) {
+    EXPECT_NE(ResultCacheKey(c, static_cast<Algorithm>(a), {}), planned) << a;
+  }
+  EXPECT_EQ(ResultCacheKey(c, std::nullopt, {}), planned);
+  // The SMJ fraction keys planned requests too: the planner may pick SMJ.
+  EXPECT_NE(ResultCacheKey(c, std::nullopt, {}, 1.0),
+            ResultCacheKey(c, std::nullopt, {}, 0.5));
+}
+
 }  // namespace
 }  // namespace phrasemine

@@ -489,5 +489,230 @@ TEST(ServiceTest, FleetCostGateShedsWhatTheEwmaWouldAdmit) {
   EXPECT_EQ(ewma_only.stats().shed, 0u);
 }
 
+// --- The result-cache hit path ----------------------------------------------
+// A hit is served on the submitting thread: Submit probes the cache after
+// validation and the admission depth check, and only a miss goes to the
+// pool.
+
+/// Occupies every worker of `service`'s pool with a forced Exact mine that
+/// sleeps `hold_ms` in its first cancellation poll, and returns once all
+/// of them are asleep. The futures resolve when the sleeps end.
+std::vector<std::future<ServiceReply>> BlockWorkers(PhraseService& service,
+                                                    const Query& query,
+                                                    std::size_t workers,
+                                                    double hold_ms) {
+  failpoint::ResetHitCounts();
+  failpoint::Arm("miner.count.poll",
+                 {.delay_ms = hold_ms,
+                  .max_hits = static_cast<int64_t>(workers)});
+  std::vector<std::future<ServiceReply>> gates;
+  for (std::size_t i = 0; i < workers; ++i) {
+    // Distinct k per gate: none of them can hit another's cache entry.
+    gates.push_back(service.Submit(
+        ServiceRequest{query, MineOptions{.k = 100 + i}, Algorithm::kExact}));
+  }
+  while (failpoint::HitCount("miner.count.poll") < workers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return gates;
+}
+
+bool Ready(std::future<ServiceReply>& future) {
+  return future.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
+}
+
+TEST(ServiceHitPathTest, HitIsReadyWhileEveryWorkerIsBlocked) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseServiceOptions options;
+  options.pool.num_threads = 2;
+  PhraseService service(&engine, options);
+  const Query gate = engine.ParseQuery("topic:0", QueryOperator::kAnd).value();
+  const Query cached =
+      engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  const ServiceRequest request{cached, MineOptions{}, {}};
+  ASSERT_FALSE(service.MineSync(request).result_cache_hit);
+
+  std::vector<std::future<ServiceReply>> gates =
+      BlockWorkers(service, gate, 2, 1000.0);
+  // No worker can run anything now: a hit must be answered by Submit
+  // itself.
+  std::future<ServiceReply> hit = service.Submit(request);
+  ASSERT_TRUE(Ready(hit));
+  const ServiceReply reply = hit.get();
+  EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_TRUE(reply.result_cache_hit);
+  EXPECT_FALSE(reply.result.phrases.empty());
+
+  // A miss still queues behind the blocked workers.
+  std::future<ServiceReply> miss = service.Submit(
+      ServiceRequest{cached, MineOptions{.k = 3}, Algorithm::kNra});
+  EXPECT_FALSE(Ready(miss));
+  EXPECT_GE(service.stats().pool.queue_depth, 1u);
+  for (auto& g : gates) EXPECT_TRUE(g.get().status.ok());
+  const ServiceReply mined = miss.get();
+  EXPECT_TRUE(mined.status.ok()) << mined.status.ToString();
+  EXPECT_FALSE(mined.result_cache_hit);
+  failpoint::DisarmAll();
+}
+
+TEST(ServiceHitPathTest, QueuedDuplicateHitsItsTwinsEntry) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseServiceOptions options;
+  options.pool.num_threads = 1;
+  PhraseService service(&engine, options);
+  const Query gate = engine.ParseQuery("topic:0", QueryOperator::kAnd).value();
+  const Query query = engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  const ServiceRequest request{query, MineOptions{}, Algorithm::kNra};
+
+  std::vector<std::future<ServiceReply>> gates =
+      BlockWorkers(service, gate, 1, 200.0);
+  // Both copies miss in Submit and queue; the worker looks again before it
+  // mines, so the second is served from the entry the first filled.
+  std::future<ServiceReply> first = service.Submit(request);
+  std::future<ServiceReply> second = service.Submit(request);
+  EXPECT_FALSE(Ready(first));
+  EXPECT_FALSE(Ready(second));
+  for (auto& g : gates) EXPECT_TRUE(g.get().status.ok());
+  const ServiceReply mined = first.get();
+  const ServiceReply served = second.get();
+  ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_FALSE(mined.result_cache_hit);
+  EXPECT_TRUE(served.result_cache_hit);
+  ExpectSameResults(mined.result, served.result, "duplicate");
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.per_algorithm[static_cast<std::size_t>(Algorithm::kNra)],
+            1u);
+  // One counted lookup per request: the gate's miss, the first copy's miss
+  // and the second copy's hit.
+  EXPECT_EQ(stats.result_cache.misses, 2u);
+  EXPECT_EQ(stats.result_cache.hits, 1u);
+  failpoint::DisarmAll();
+}
+
+TEST(ServiceHitPathTest, CachedQueryAfterShutdownResolvesUnavailable) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseService service(&engine, {});
+  const Query query = engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  const ServiceRequest request{query, MineOptions{}, {}};
+  ASSERT_FALSE(service.MineSync(request).result_cache_hit);
+  service.Shutdown();
+  const ServiceReply reply = service.Submit(request).get();
+  EXPECT_EQ(reply.status.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(reply.result_cache_hit);
+}
+
+TEST(ServiceHitPathTest, FullQueueShedsBeforeTheProbe) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseServiceOptions options;
+  options.pool.num_threads = 1;
+  options.admission.max_queue_depth = 1;
+  PhraseService service(&engine, options);
+  const Query gate = engine.ParseQuery("topic:0", QueryOperator::kAnd).value();
+  const Query cached =
+      engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  const ServiceRequest request{cached, MineOptions{}, Algorithm::kNra};
+  ASSERT_FALSE(service.MineSync(request).result_cache_hit);
+
+  std::vector<std::future<ServiceReply>> gates =
+      BlockWorkers(service, gate, 1, 1000.0);
+  // One queued miss fills the admission queue...
+  std::future<ServiceReply> queued = service.Submit(
+      ServiceRequest{cached, MineOptions{.k = 3}, Algorithm::kNra});
+  // ...and the depth bound sheds even a request the cache could answer.
+  const ServiceReply shed = service.Submit(request).get();
+  EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted)
+      << shed.status.ToString();
+  EXPECT_FALSE(shed.result_cache_hit);
+  EXPECT_EQ(service.stats().shed, 1u);
+  for (auto& g : gates) EXPECT_TRUE(g.get().status.ok());
+  EXPECT_TRUE(queued.get().status.ok());
+  // Drained: the same request is a hit again.
+  EXPECT_TRUE(service.Submit(request).get().result_cache_hit);
+  failpoint::DisarmAll();
+}
+
+TEST(ServiceHitPathTest, ExpiredDeadlineOnCachedQueryIsNotServed) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseService service(&engine, {});
+  const Query query = engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  ServiceRequest request{query, MineOptions{}, Algorithm::kNra};
+  ASSERT_FALSE(service.MineSync(request).result_cache_hit);
+  ASSERT_TRUE(service.MineSync(request).result_cache_hit);
+
+  request.cancel =
+      std::make_shared<CancelToken>(CancelToken::AfterMillis(-1.0));
+  const ServiceReply submitted = service.Submit(request).get();
+  EXPECT_EQ(submitted.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(submitted.result_cache_hit);
+  EXPECT_TRUE(submitted.result.phrases.empty());
+  const ServiceReply sync = service.MineSync(request);
+  EXPECT_EQ(sync.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(sync.result_cache_hit);
+  EXPECT_EQ(service.stats().deadline_exceeded, 2u);
+
+  // A live deadline is served from the cache.
+  request.cancel.reset();
+  request.deadline_ms = 60000.0;
+  EXPECT_TRUE(service.Submit(request).get().result_cache_hit);
+}
+
+TEST(ServiceHitPathTest, HitRepliesWithTheStoredPlan) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseService service(&engine, {});
+  const Query query =
+      engine.ParseQuery("topic:0 topic:1", QueryOperator::kOr).value();
+  const ServiceRequest planned{query, MineOptions{}, {}};
+  const ServiceReply miss = service.MineSync(planned);
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  ASSERT_FALSE(miss.result_cache_hit);
+  const ServiceReply hit = service.Submit(planned).get();
+  ASSERT_TRUE(hit.result_cache_hit);
+  EXPECT_EQ(hit.plan.algorithm, miss.plan.algorithm);
+  EXPECT_EQ(hit.plan.ToString(), miss.plan.ToString());
+  EXPECT_EQ(hit.plan.estimated_costs, miss.plan.estimated_costs);
+  ExpectSameResults(miss.result, hit.result, "planned hit");
+
+  // The key holds the request, not the plan: forcing the planned
+  // algorithm is a different entry, and its hits say "forced".
+  const ServiceRequest forced{query, MineOptions{}, miss.plan.algorithm};
+  const ServiceReply forced_miss = service.MineSync(forced);
+  EXPECT_FALSE(forced_miss.result_cache_hit);
+  const ServiceReply forced_hit = service.Submit(forced).get();
+  EXPECT_TRUE(forced_hit.result_cache_hit);
+  EXPECT_EQ(forced_hit.plan.reason, "forced by caller");
+  ExpectSameResults(miss.result, forced_hit.result, "forced hit");
+
+  // A hit does no planning and no mining: the counters say compute ran
+  // twice, for the two misses.
+  const ServiceStats stats = service.stats();
+  uint64_t executed = 0;
+  for (uint64_t c : stats.per_algorithm) executed += c;
+  EXPECT_EQ(executed, 2u);
+  EXPECT_EQ(stats.queries, 4u);
+  EXPECT_EQ(stats.planned, 2u);
+  EXPECT_EQ(stats.forced, 2u);
+}
+
+TEST(ServiceHitPathTest, CallerDeltaBypassesTheCache) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  PhraseService service(&engine, {});
+  const Query query = engine.ParseQuery("topic:1", QueryOperator::kAnd).value();
+  const DeltaIndex external(engine.dict());
+  ServiceRequest request{query, MineOptions{}, Algorithm::kNra};
+  request.options.delta = &external;
+  for (int i = 0; i < 2; ++i) {
+    const ServiceReply reply = service.Submit(request).get();
+    EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+    EXPECT_FALSE(reply.result_cache_hit);
+  }
+  const CacheStats cache = service.stats().result_cache;
+  EXPECT_EQ(cache.hits + cache.misses, 0u);
+  EXPECT_EQ(cache.entries, 0u);
+  EXPECT_EQ(service.stats().per_algorithm[static_cast<int>(Algorithm::kNra)],
+            2u);
+}
+
 }  // namespace
 }  // namespace phrasemine
